@@ -31,7 +31,6 @@ from .bounds import (
     gyory_sunit_bound,
     landau_min_constant,
     lefourn_sunit_bound,
-    regulator,
     thm1_rhs,
     thm2_rhs,
     thm3_rhs,
@@ -52,10 +51,7 @@ from .radical import (
     Selectors,
     enumerate_primitive_triples,
     make_triple,
-    ordered_selectors,
-    radical_G,
     smoothness_S,
-    top_primes,
     triple_height,
 )
 from .sml import (

@@ -538,8 +538,7 @@ def primes_above(field: QuadraticField, p: int) -> tuple[FactorEntry, ...]:
     if kind == "ramified":
         return (FactorEntry(pi, 1, p),)
     pi_bar = canonical_associate(pi.conjugate())
-    first, second = sorted((pi, pi_bar), key=lambda a: (a.x, a.y))
-    return (FactorEntry(first, 1, p), FactorEntry(second, 1, p))
+    return tuple(sorted((FactorEntry(pi, 1, p), FactorEntry(pi_bar, 1, p)), key=_entry_key))
 
 
 def factor_quad(alpha: AlgebraicInt) -> IdealFactorization:

@@ -10,12 +10,11 @@ lower-order terms are available via ``full_exponent``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from mpmath import mp
 
-from .arith import QuadraticField, prime_ideals_in_norm_order
+from .arith import QuadraticField, _entry_key, prime_ideals_in_norm_order
 from .errors import (
     BadAlpha,
     BadParameter,
@@ -24,13 +23,8 @@ from .errors import (
     HypothesisFails,
     NotApplicable,
 )
-from .radical import (
-    AbcTriple,
-    Selectors,
-    height_ordered_factorizations,
-    selector_record,
-    triple_height,
-)
+from .pool import _pool_map, worker_count
+from .radical import AbcTriple, Selectors, triple_height
 
 E_SQUARED_GUARD = math.e**math.e  # below this the triple-log exponent turns negative
 
@@ -123,44 +117,49 @@ def _report(theorem: str, lhs: float, rhs: float, exponent: float, regime: str,
                        weak_rhs, detail)
 
 
-def _lhs_and_selectors(triple: AbcTriple, config: BoundConfig) -> tuple[float, Selectors]:
+def _log_height(triple: AbcTriple, config: BoundConfig) -> float:
     with mp.workprec(config.precision_bits):
-        lhs = float(mp.log(triple_height(triple)))
-    (_, fa), (_, fb), (_, fc) = height_ordered_factorizations(triple)
-    return lhs, selector_record(fa, fb, fc)
+        return float(mp.log(triple_height(triple)))
+
+
+def _log_base(sel: Selectors, theorem: int) -> float:
+    """log of theorem 1, 2 or 3's selector factor, from the exact integer product."""
+    if theorem == 1:
+        return math.log(sel.n_a * sel.n_b * sel.n_c**2 * max(sel.n_b, sel.n_c)) / 3
+    if theorem == 2:
+        return math.log(sel.n_b * sel.n_c**2) / 2
+    if theorem == 3:
+        return math.log(sel.n_a * sel.n_b * sel.n_c * sel.n_c_third * sel.n_q) / 3
+    raise BadParameter("theorem must be 1, 2 or 3")
+
+
+def _theorem_report(theorem: int, triple: AbcTriple, config: BoundConfig) -> BoundReport:
+    """log H against rhs = exp(log base + term * log G), selectors taken in
+    height order; theorem 3 also reports its weak form G^(1/3 + term)."""
+    lhs = _log_height(triple, config)
+    term = exponent_term(triple.G, config.C_main, config)
+    with mp.workprec(config.precision_bits):
+        log_g = mp.log(triple.G)
+        rhs = float(mp.exp(_log_base(triple.height_selectors, theorem) + term * log_g))
+        weak = float(mp.exp((mp.mpf(1) / 3 + term) * log_g)) if theorem == 3 else None
+    return _report(f"thm{theorem}", lhs, rhs, term, _regime(triple.G, config),
+                   weak_rhs=weak)
 
 
 def thm1_rhs(triple: AbcTriple, config: BoundConfig = DEFAULT_CONFIG) -> BoundReport:
-    """(N_a N_b N_c^2 max(N_b, N_c))^(1/3) * G^exponent, selectors taken after
-    relabeling the coordinates in height order."""
-    lhs, sel = _lhs_and_selectors(triple, config)
-    term = exponent_term(triple.G, config.C_main, config)
-    with mp.workprec(config.precision_bits):
-        base = mp.cbrt(sel.n_a * sel.n_b * sel.n_c**2 * max(sel.n_b, sel.n_c))
-        rhs = float(base * mp.mpf(triple.G) ** term)
-    return _report("thm1", lhs, rhs, term, _regime(triple.G, config))
+    """(N_a N_b N_c^2 max(N_b, N_c))^(1/3) * G^exponent."""
+    return _theorem_report(1, triple, config)
 
 
 def thm2_rhs(triple: AbcTriple, config: BoundConfig = DEFAULT_CONFIG) -> BoundReport:
     """N_b^(1/2) * N_c * G^exponent."""
-    lhs, sel = _lhs_and_selectors(triple, config)
-    term = exponent_term(triple.G, config.C_main, config)
-    with mp.workprec(config.precision_bits):
-        rhs = float(mp.sqrt(sel.n_b) * sel.n_c * mp.mpf(triple.G) ** term)
-    return _report("thm2", lhs, rhs, term, _regime(triple.G, config))
+    return _theorem_report(2, triple, config)
 
 
 def thm3_rhs(triple: AbcTriple, config: BoundConfig = DEFAULT_CONFIG) -> BoundReport:
     """(N_a N_b N_c N'_c N_q)^(1/3) * G^exponent, plus the weakened all-radical
     form G^(1/3 + exponent) in ``weak_rhs``."""
-    lhs, sel = _lhs_and_selectors(triple, config)
-    term = exponent_term(triple.G, config.C_main, config)
-    with mp.workprec(config.precision_bits):
-        g = mp.mpf(triple.G)
-        base = mp.cbrt(sel.n_a * sel.n_b * sel.n_c * sel.n_c_third * sel.n_q)
-        rhs = float(base * g**term)
-        weak = float(g ** (mp.mpf(1) / 3 + term))
-    return _report("thm3", lhs, rhs, term, _regime(triple.G, config), weak_rhs=weak)
+    return _theorem_report(3, triple, config)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +185,8 @@ def _require_alpha(alpha, lo: float, hi: float, *, lo_open=True, hi_open=True) -
 
 def _ord_at_top_prime(fac) -> int:
     """Exponent of the largest-norm prime (canonical order breaks ties); 1 for units."""
-    entries = sorted(fac, key=lambda e: (e.norm, e.prime.x, e.prime.y))
-    return entries[-1].exponent if entries else 1
+    top = max(fac, key=_entry_key, default=None)
+    return top.exponent if top else 1
 
 
 def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_CONFIG,
@@ -207,8 +206,8 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
             f"corollary {cid} conditions on nontrivial class-group structure; "
             "with class number one its hypothesis is vacuous"
         )
-    lhs, sel = _lhs_and_selectors(triple, config)
-    (_, _), (_, _), (_, fc) = height_ordered_factorizations(triple)
+    lhs = _log_height(triple, config)
+    sel, fc = triple.height_selectors, triple.by_height[2]
     G = triple.G
     C = config.C_main
     term = exponent_term(G, C, config)
@@ -374,14 +373,6 @@ def landau_min_constant(field: QuadraticField, R: int, prec: int = 64) -> float:
         return float(best)
 
 
-def regulator(field: QuadraticField) -> float:
-    """Regulator of a supported field: 1 by convention, since Q and the
-    admissible imaginary quadratic fields all have unit rank zero."""
-    if field.degree not in (1, 2):  # pragma: no cover - fields validate themselves
-        raise BadParameter("unsupported field")
-    return 1.0
-
-
 def gyory_sunit_bound(h_alpha: float, h_beta: float, t: int = 0, P: float = 1.0,
                       R: float = 1.0, R_S: float = 1.0, class_number: int = 1,
                       config: BoundConfig = DEFAULT_CONFIG) -> float:
@@ -442,16 +433,6 @@ def lefourn_sunit_bound(h_alpha: float, h_beta: float, degree: int, t: int,
 # Calibration of the leading constant from data
 
 
-def _theorem_base(sel: Selectors, theorem: int) -> float:
-    if theorem == 1:
-        return (sel.n_a * sel.n_b * sel.n_c**2 * max(sel.n_b, sel.n_c)) ** (1 / 3)
-    if theorem == 2:
-        return math.sqrt(sel.n_b) * sel.n_c
-    if theorem == 3:
-        return (sel.n_a * sel.n_b * sel.n_c * sel.n_c_third * sel.n_q) ** (1 / 3)
-    raise BadParameter("theorem must be 1, 2 or 3")
-
-
 def _min_c_single(lhs: float, base: float, kappa_log_g: float, tol: float) -> float:
     """Smallest C with lhs <= base * exp(C * kappa_log_g), by bisection to tol."""
     if lhs <= base:
@@ -488,17 +469,13 @@ def empirical_min_C(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
     The result is independent of how the dataset is partitioned, so any
     worker count returns the same value.
     """
+    workers = worker_count(workers)
     rows = []
     for triple in triples:
-        lhs, sel = _lhs_and_selectors(triple, config)
+        base = math.exp(_log_base(triple.height_selectors, theorem))
         kappa = exponent_term(triple.G, 1.0, config)
-        rows.append((lhs, _theorem_base(sel, theorem), kappa * math.log(triple.G)))
+        rows.append((_log_height(triple, config), base, kappa * math.log(triple.G)))
     if not rows:
         raise EmptyDataset("calibration needs at least one triple")
-    if workers <= 1:
-        return _chunk_calibration_max((rows, tol))
-    chunks = [rows[i::workers] for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_chunk_calibration_max,
-                                [(chunk, tol) for chunk in chunks if chunk]))
-    return max(results)
+    chunks = [(rows[i::workers], tol) for i in range(min(workers, len(rows)))]
+    return max(_pool_map(_chunk_calibration_max, chunks, workers))

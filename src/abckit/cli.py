@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from . import bounds, radical, sml, xyz
@@ -45,24 +45,14 @@ def fmt(value) -> str:
 # Run configuration files: `key = value` lines with # comments
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    bound: BoundConfig
-    field: str | None = None
-    out: str | None = None
-    verbosity: int = 0
-
-
 _BOUND_KEYS = {f.name for f in fields(BoundConfig)}
-_STR_KEYS = {"field", "out"}
-_INT_KEYS = {"precision_bits", "verbosity"}
+_INT_KEYS = {"precision_bits"}
 _BOOL_KEYS = {"full_exponent"}
 
 
-def load_config(path: str | None) -> RunConfig:
+def load_config(path: str | None) -> BoundConfig:
     """Parse a config file; absent keys keep their defaults."""
     bound_kwargs: dict = {}
-    extras: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -72,20 +62,13 @@ def load_config(path: str | None) -> RunConfig:
                 if "=" not in line:
                     raise ParseError(f"expected `key = value`, got {line!r}", lineno)
                 key, _, value = (part.strip() for part in line.partition("="))
-                if key in _STR_KEYS:
-                    extras[key] = value
-                    continue
-                if key == "verbosity":
-                    extras[key] = _parse_typed(key, value)
-                    continue
                 if key not in _BOUND_KEYS:
                     raise UnknownKey(key)
                 bound_kwargs[key] = _parse_typed(key, value)
     try:
-        bound = BoundConfig(**bound_kwargs)
+        return BoundConfig(**bound_kwargs)
     except InputError as exc:
         raise BadValue(next(iter(bound_kwargs), "config"), str(exc)) from exc
-    return RunConfig(bound=bound, **extras)
 
 
 def _parse_typed(key: str, value: str):
@@ -105,8 +88,7 @@ def _parse_typed(key: str, value: str):
 
 
 def _config_from_args(args) -> BoundConfig:
-    run = load_config(getattr(args, "config", None))
-    bound = run.bound
+    bound = load_config(getattr(args, "config", None))
     if getattr(args, "C", None) is not None:
         bound = bound.with_C(args.C)
     if getattr(args, "G_min", None) is not None:
@@ -463,3 +445,7 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

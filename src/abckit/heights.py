@@ -16,7 +16,14 @@ from math import gcd
 
 from mpmath import mp
 
-from .arith import AlgebraicInt, QuadraticField, RATIONALS, factor_element
+from .arith import (
+    AlgebraicInt,
+    FactorEntry,
+    QuadraticField,
+    RATIONALS,
+    _entry_key,
+    factor_element,
+)
 from .errors import AllZero, BadParameter, ZeroInput
 
 DEFAULT_PREC = 64
@@ -58,15 +65,13 @@ def _as_element(value, field: QuadraticField | None) -> AlgebraicInt:
     raise BadParameter(f"cannot interpret {value!r} as a field element")
 
 
-def _merged_ords(num: AlgebraicInt, den: AlgebraicInt) -> dict[AlgebraicInt, tuple[int, int]]:
-    """Canonical prime -> (ord of num/den, norm)."""
-    ords: dict[AlgebraicInt, tuple[int, int]] = {}
-    for entry in factor_element(num):
-        ords[entry.prime] = (entry.exponent, entry.norm)
+def _merged_ords(num: AlgebraicInt, den: AlgebraicInt) -> list[FactorEntry]:
+    """The primes of num/den with their nonzero orders, in prime order."""
+    ords = {entry.prime: entry for entry in factor_element(num)}
     for entry in factor_element(den):
-        old = ords.get(entry.prime, (0, entry.norm))[0]
-        ords[entry.prime] = (old - entry.exponent, entry.norm)
-    return {p: v for p, v in ords.items() if v[0] != 0}
+        old = ords[entry.prime].exponent if entry.prime in ords else 0
+        ords[entry.prime] = FactorEntry(entry.prime, old - entry.exponent, entry.norm)
+    return sorted((e for e in ords.values() if e.exponent != 0), key=_entry_key)
 
 
 def places(num, den=None, field: QuadraticField | None = None) -> list[PlaceValue]:
@@ -76,10 +81,8 @@ def places(num, den=None, field: QuadraticField | None = None) -> list[PlaceValu
     if num.is_zero() or den.is_zero():
         raise ZeroInput("places of 0 are not defined")
     out = [
-        PlaceValue(kind="finite", prime=p, norm=norm, exponent=e)
-        for p, (e, norm) in sorted(
-            _merged_ords(num, den).items(), key=lambda kv: (kv[1][1], kv[0].x, kv[0].y)
-        )
+        PlaceValue(kind="finite", prime=e.prime, norm=e.norm, exponent=e.exponent)
+        for e in _merged_ords(num, den)
     ]
     if num.field.degree == 1:
         sq = Fraction(num.x * num.x, den.x * den.x)
@@ -110,9 +113,9 @@ def weil_height(num, den=None, field: QuadraticField | None = None,
         raise ZeroInput("height of 0 is not defined here")
     with mp.workprec(prec):
         total = mp.mpf(0)
-        for prime, (e, norm) in _merged_ords(num, den).items():
-            if e < 0:
-                total += -e * mp.log(norm)
+        for entry in _merged_ords(num, den):
+            if entry.exponent < 0:
+                total += -entry.exponent * mp.log(entry.norm)
         # infinite place: log+ |sigma|^dv, exact via integer norms
         n_num, n_den = abs(num.norm()), abs(den.norm())
         if num.field.degree == 1:

@@ -10,6 +10,7 @@ from .arith import (
     IdealFactorization,
     QuadraticField,
     RATIONALS,
+    _entry_key,
     factor_element,
     ideal_coprime,
 )
@@ -37,7 +38,13 @@ class Selectors:
 
 @dataclass(frozen=True)
 class AbcTriple:
-    """Coprime a + b + c = 0 over Q or an admissible imaginary quadratic field."""
+    """Coprime a + b + c = 0 over Q or an admissible imaginary quadratic field.
+
+    ``selectors`` follow the given order of (a, b, c).  The bounds read
+    ``by_height``, the factorizations relabeled by |norm| ascending (ties
+    broken by coordinates), and ``height_selectors``, the selectors of that
+    order; both are computed once, when the triple is built.
+    """
 
     field: QuadraticField
     a: AlgebraicInt
@@ -48,6 +55,8 @@ class AbcTriple:
     fac_c: IdealFactorization
     G: int
     selectors: Selectors
+    by_height: tuple[IdealFactorization, IdealFactorization, IdealFactorization]
+    height_selectors: Selectors
 
     def coordinates(self) -> tuple[AlgebraicInt, AlgebraicInt, AlgebraicInt]:
         return (self.a, self.b, self.c)
@@ -60,7 +69,7 @@ def _third_largest_norm(*facs: IdealFactorization) -> int:
     """Norm of the third-largest distinct prime, counting primes once each and
     breaking norm ties by canonical coordinates; 1 when fewer than three."""
     entries = [e for fac in facs for e in fac]
-    entries.sort(key=lambda e: (e.norm, e.prime.x, e.prime.y), reverse=True)
+    entries.sort(key=_entry_key, reverse=True)
     return entries[2].norm if len(entries) >= 3 else 1
 
 
@@ -98,12 +107,13 @@ def make_triple(a, b, c, field: QuadraticField | None = None) -> AbcTriple:
     # coprimality means the three prime sets are disjoint, so the radical is
     # the plain product of every distinct prime norm
     big_g = fa.radical() * fb.radical() * fc.radical()
-    return AbcTriple(field, a, b, c, fa, fb, fc, big_g, selector_record(fa, fb, fc))
-
-
-def radical_G(triple: AbcTriple) -> int:
-    """Product of the norms of the distinct primes dividing a*b*c (1 iff all units)."""
-    return triple.G
+    coords, facs = (a, b, c), (fa, fb, fc)
+    order = sorted(range(3), key=lambda i: (abs(coords[i].norm()), coords[i].x, coords[i].y))
+    by_height = tuple(facs[i] for i in order)
+    selectors = selector_record(fa, fb, fc)
+    height_selectors = selectors if order == [0, 1, 2] else selector_record(*by_height)
+    return AbcTriple(field, a, b, c, fa, fb, fc, big_g, selectors, by_height,
+                     height_selectors)
 
 
 def triple_height(triple: AbcTriple) -> int:
@@ -126,30 +136,6 @@ def smoothness_S(triple: AbcTriple) -> int:
     if top == 0:
         raise AllUnits("smoothness is undefined when a, b, c are all units")
     return top
-
-
-def top_primes(triple: AbcTriple) -> Selectors:
-    """The stored selector record (N_a, N_b, N_c, N'_c, N_q)."""
-    return triple.selectors
-
-
-def height_ordered_factorizations(
-    triple: AbcTriple,
-) -> tuple[tuple[AlgebraicInt, IdealFactorization], ...]:
-    """Coordinates with factorizations, sorted by |norm| ascending.
-
-    Bound evaluators relabel (a, b, c) this way so the stored triple is never
-    mutated; ties in |norm| are broken by coordinates for determinism.
-    """
-    pairs = list(zip(triple.coordinates(), triple.factorizations()))
-    pairs.sort(key=lambda p: (abs(p[0].norm()), p[0].x, p[0].y))
-    return tuple(pairs)
-
-
-def ordered_selectors(triple: AbcTriple) -> Selectors:
-    """Selectors after the |norm|-ascending relabeling of (a, b, c)."""
-    (_, fa), (_, fb), (_, fc) = height_ordered_factorizations(triple)
-    return selector_record(fa, fb, fc)
 
 
 def enumerate_primitive_triples(H_limit: int) -> list[AbcTriple]:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, floor, gcd, isqrt
-from concurrent.futures import ProcessPoolExecutor
 
 from .arith import (
     AlgebraicInt,
     QuadraticField,
     RATIONALS,
+    _entry_key,
     _factor_nat,
     factor_element,
     ideal_coprime,
@@ -33,6 +33,7 @@ from .errors import (
     ZeroInput,
 )
 from .heights import weil_height
+from .pool import _pool_map, worker_count
 
 from mpmath import mp
 
@@ -290,13 +291,11 @@ def strip_common_primes(
                 raise RootsNotCoprime(f"roots {r[i]} and {r[j]} share a prime")
     fk = [factor_element(v) for v in k]
     fr = [factor_element(v) for v in r]
-    seen: dict[AlgebraicInt, int] = {}
-    for fac in fk:
-        for entry in fac:
-            seen.setdefault(entry.prime, entry.norm)
+    seen = {entry.prime: entry for fac in fk for entry in fac}
     events: list[StripEvent] = []
     strip_amount = [dict(), dict(), dict()]
-    for q, norm in sorted(seen.items(), key=lambda kv: (kv[1], kv[0].x, kv[0].y)):
+    for entry in sorted(seen.values(), key=_entry_key):
+        q, norm = entry.prime, entry.norm
         e = [fk[i].ord_of(q) for i in range(3)]
         o = [fr[i].ord_of(q) for i in range(3)]
         if min(ei + oi for ei, oi in zip(e, o)) < 1:
@@ -373,19 +372,13 @@ def _scan_chunk(args) -> list[int]:
 
 
 def _enumerate_zeros(spec: RecurrenceSpec, limit: int, workers: int) -> tuple[int, ...]:
-    """All n in [0, limit] with a_n = 0, by exact integer evaluation."""
+    """All n in [0, limit] with a_n = 0, by exact integer evaluation of one
+    contiguous range per worker, each started from its own exact state."""
     total = limit + 1
-    if workers <= 1 or total < 64:
-        return tuple(_scan_chunk((spec.c1, spec.c2, spec.c3,
-                                  (spec.a0, spec.a1, spec.a2), 0, total)))
-    size = ceil(total / workers)
-    tasks = []
-    for start in range(0, total, size):
-        count = min(size, total - start)
-        tasks.append((spec.c1, spec.c2, spec.c3, _state_at(spec, start), start, count))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_scan_chunk, tasks))
-    return tuple(sorted(n for chunk in chunks for n in chunk))
+    size = total if total < 64 else ceil(total / workers)
+    tasks = [(spec.c1, spec.c2, spec.c3, _state_at(spec, start), start,
+              min(size, total - start)) for start in range(0, total, size)]
+    return tuple(n for chunk in _pool_map(_scan_chunk, tasks, workers) for n in chunk)
 
 
 def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
@@ -396,6 +389,7 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
     raised; root triples that are not pairwise coprime as ideals are rejected
     with RootsNotCoprime.
     """
+    workers = worker_count(workers)
     try:
         roots, field = find_roots(char_poly(spec))
     except RepeatedRoots as exc:

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
 from .arith import first_primes, is_probable_prime, primes_upto
 from .errors import BadParameter, BadPhi
+from .pool import _pool_map, worker_count
 
 NESTING_THRESHOLD = math.exp(math.e**math.e)  # four nested logs need H above this
 
@@ -80,10 +80,10 @@ def _make_triple(x: int, z: int, primes: list[int]) -> SmoothTriple:
 
 
 def _scan_chunk(args) -> list[tuple[int, int]]:
-    smooth, z_lo, z_hi = args
+    smooth, start, step = args
     members = set(smooth)
     found = []
-    for z in smooth[z_lo:z_hi]:
+    for z in smooth[start::step]:
         half = bisect_right(smooth, z // 2)
         for x in smooth[:half]:
             if z - x in members and gcd(x, z) == 1:
@@ -96,22 +96,17 @@ def enumerate_triples(P: int, H_limit: int, workers: int = 1) -> list[SmoothTrip
 
     Hash-membership join: scan pairs (X, Z) with X <= Z/2 and test Z - X
     against the smooth set.  gcd(X, Z) = 1 suffices for primitivity since any
-    prime dividing two of X, Y, Z divides the third.
+    prime dividing two of X, Y, Z divides the third.  Each worker takes every
+    workers-th Z, which spreads the larger Z, and so the probes, evenly.
     """
     if H_limit < 2:
         raise BadParameter("H_limit must be at least 2")
+    workers = worker_count(workers)
     smooth = smooth_numbers(P, H_limit)
     primes = primes_upto(P)
-    if workers <= 1 or len(smooth) < 64:
-        pairs = _scan_chunk((smooth, 0, len(smooth)))
-    else:
-        size = math.ceil(len(smooth) / workers)
-        tasks = [
-            (smooth, lo, min(lo + size, len(smooth)))
-            for lo in range(0, len(smooth), size)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = [p for chunk in pool.map(_scan_chunk, tasks) for p in chunk]
+    step = 1 if len(smooth) < 64 else workers
+    tasks = [(smooth, start, step) for start in range(step)]
+    pairs = [p for chunk in _pool_map(_scan_chunk, tasks, workers) for p in chunk]
     pairs.sort(key=lambda xz: (xz[1], xz[0]))
     return [_make_triple(x, z, primes) for x, z in pairs]
 

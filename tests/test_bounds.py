@@ -189,11 +189,9 @@ class TestThm3ProductDominatedByRadical:
         assert worst < 2**62  # int64 never overflowed
 
     def test_random_triples_all_fields(self, rng):
-        from abckit.radical import ordered_selectors
-
         for _ in range(300):
             t = random_triple(rng)
-            sel = ordered_selectors(t)
+            sel = t.height_selectors
             assert sel.n_a * sel.n_b * sel.n_c * sel.n_c_third * sel.n_q <= t.G
 
 
@@ -382,12 +380,6 @@ class TestLandau:
 
 
 class TestSUnitEvaluators:
-    def test_regulator_is_one_for_rank_zero_fields(self):
-        from abckit import regulator
-
-        assert regulator(Q) == 1.0
-        assert regulator(QuadraticField(-163)) == 1.0
-
     def test_gyory_no_finite_places(self):
         assert gyory_sunit_bound(2.0, 3.0) == pytest.approx(3.0)
         assert gyory_sunit_bound(0.1, 0.2) == pytest.approx(1.0)  # max with 1

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -148,26 +150,23 @@ class TestCsvRoundTrip:
 
 class TestConfigFiles:
     def test_defaults(self):
-        run_config = load_config(None)
-        assert run_config.bound.C_main == 1.0
-        assert run_config.bound.precision_bits == 64
+        config = load_config(None)
+        assert config.C_main == 1.0
+        assert config.precision_bits == 64
 
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("\n# nothing but comments\n\n")
-        run_config = load_config(os.fspath(path))
-        assert run_config.bound == load_config(None).bound
+        assert load_config(os.fspath(path)) == load_config(None)
 
     def test_values_and_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# leading comment\nC_main = 2.5\nG_min = 20 # trailing\n"
-                        "full_exponent = true\nfield = Q(i)\nverbosity = 1\n")
-        run_config = load_config(os.fspath(path))
-        assert run_config.bound.C_main == 2.5
-        assert run_config.bound.G_min == 20.0
-        assert run_config.bound.full_exponent is True
-        assert run_config.field == "Q(i)"
-        assert run_config.verbosity == 1
+                        "full_exponent = true\n")
+        config = load_config(os.fspath(path))
+        assert config.C_main == 2.5
+        assert config.G_min == 20.0
+        assert config.full_exponent is True
 
     def test_bad_value(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -183,6 +182,16 @@ class TestConfigFiles:
         path.write_text("mystery = 3\n")
         with pytest.raises(UnknownKey):
             load_config(os.fspath(path))
+
+    def test_unread_keys_are_unknown(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        for line in ("field = Q(i)", "out = x.csv", "verbosity = 1"):
+            path.write_text(line + "\n")
+            with pytest.raises(UnknownKey):
+                load_config(os.fspath(path))
+            code, _, err = run(capsys, ["calibrate", "--theorem", "2", "--H-limit", "10",
+                                        "--config", os.fspath(path)])
+            assert code == 1 and "unknown config key" in err
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -211,3 +220,14 @@ class TestFormatting:
 
         assert fmt(Fraction(9, 1)) == "9"
         assert fmt(Fraction(9, 2)) == "9/2"
+
+
+def test_module_entry_point():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "abckit.cli", "factor", "--element", "72"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "(2)^3" in proc.stdout

@@ -7,11 +7,8 @@ from abckit import (
     QuadraticField,
     factor_element,
     make_triple,
-    ordered_selectors,
     projective_height,
-    radical_G,
     smoothness_S,
-    top_primes,
     triple_height,
 )
 from abckit.errors import (
@@ -107,29 +104,29 @@ class TestSmoothness:
 
 class TestSelectors:
     def test_single_prime_coordinates(self):
-        sel = top_primes(make_triple(1, 8, -9))
+        sel = make_triple(1, 8, -9).selectors
         assert sel.n_c_third == 1 and sel.n_q == 1
 
     def test_third_largest_of_bc(self):
         # primes of c = {3, 5}, of bc = {2, 3, 5}: third largest of bc is 2
-        sel = top_primes(make_triple(1, -16, 15))
+        sel = make_triple(1, -16, 15).selectors
         assert sel.n_c_third == 1 and sel.n_q == 2
 
     def test_third_largest_within_c(self):
         # c = 105 = 3 * 5 * 7 sorted desc: 7, 5, 3
-        sel = top_primes(make_triple(-106, 1, 105))
+        sel = make_triple(-106, 1, 105).selectors
         assert sel.n_c_third == 3
 
     def test_monotonicity(self, rng):
         for _ in range(200):
-            sel = top_primes(random_triple(rng))
+            sel = random_triple(rng).selectors
             assert sel.n_c_third <= sel.n_c
             assert sel.n_q <= max(sel.n_b, sel.n_c)
 
     def test_ordered_selectors_sorted_by_size(self):
         t = make_triple(8, 1, -9)  # stored order not height-sorted
         assert t.selectors.n_a == 2 and t.selectors.n_b == 1
-        sel = ordered_selectors(t)
+        sel = t.height_selectors
         assert (sel.n_a, sel.n_b, sel.n_c) == (1, 2, 3)
 
 
