@@ -6,7 +6,9 @@ The zero-decision pipeline for integer recurrences
 a(n) = c1 a(n-1) + c2 a(n-2) + c3 a(n-3) whose characteristic roots are
 distinct and live in Q or one of the admissible imaginary quadratic fields:
 exact roots and closed-form coefficients, common-prime stripping, a radical
-bound N on the last possible zero, and direct integer enumeration up to N.
+bound N on the last possible zero, and a scan of a(0..N) modulo the prime
+2^61 - 1 in which every candidate zero is confirmed in exact integers before
+it is reported.
 
 Run: python demos/recurrence_zeros.py
 """

@@ -48,12 +48,15 @@ class BoundConfig:
     full_exponent: bool = False
 
     def __post_init__(self):
+        positive = ("G_min", "gyory_C13", "gyory_C14", "lefourn_C118", "lefourn_C119")
+        for name in ("C_main", *positive):
+            if not math.isfinite(getattr(self, name)):
+                raise BadParameter(f"{name} must be finite")
         # C_main = 0 is allowed: it drops the radical exponent entirely, and
         # the calibrator legitimately returns 0 for datasets that need no help
         if self.C_main < 0:
             raise BadParameter("C_main must be nonnegative")
-        for name in ("G_min", "gyory_C13", "gyory_C14",
-                     "lefourn_C118", "lefourn_C119"):
+        for name in positive:
             if getattr(self, name) <= 0:
                 raise BadParameter(f"{name} must be positive")
         if self.G_min <= math.e:
@@ -330,6 +333,8 @@ def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
         raise BadParameter("B must be at least 3 (it is a max with 3)")
     if len(heights) != n_terms:
         raise BadParameter("need exactly one height per term")
+    if not all(math.isfinite(h) for h in (*heights, B)):
+        raise BadParameter("heights and B must be finite")
     if any(h < 0 for h in heights):
         raise BadParameter("heights are nonnegative")
     n, d = n_terms, degree
@@ -348,8 +353,8 @@ def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
 
 def tidy_bound(x: float, prec: int = 64) -> float:
     """max(e, 2x log x): any a with a / log a < x satisfies a < tidy_bound(x)."""
-    if x <= 0:
-        raise BadParameter("x must be positive")
+    if not (0 < x < math.inf):
+        raise BadParameter("x must be positive and finite")
     with mp.workprec(prec):
         return float(max(mp.e, 2 * x * mp.log(x)))
 

@@ -276,7 +276,7 @@ def _cmd_sml_decide(args) -> int:
           f"(raw bound {fmt(verdict.bound)}, G={verdict.G}, "
           f"h_max={fmt(verdict.h_max)}, C={fmt(verdict.C)})")
     if verdict.truncated:
-        print("bound too large: enumeration truncated at the cap")
+        print(f"{verdict.reason or 'bound too large'}: enumeration truncated at the cap")
     if verdict.zeros:
         print("zeros at n = " + ", ".join(str(n) for n in verdict.zeros))
     print(verdict.machine_line())

@@ -3,14 +3,15 @@
 Pipeline: characteristic polynomial -> exact roots (rational, or one rational
 plus a conjugate pair in an admissible imaginary quadratic field) -> degeneracy
 gate -> exact closed-form coefficients -> denominator clearing and common-prime
-stripping -> radical-based bound on the last possible zero -> direct integer
-enumeration of the sequence up to that bound.
+stripping -> radical-based bound on the last possible zero -> a scan of the
+sequence modulo the prime 2^61 - 1 up to that bound, in which every candidate
+zero is confirmed in exact integer arithmetic before it is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isinf, isqrt
 
 from .arith import (
     AlgebraicInt,
@@ -39,6 +40,7 @@ from mpmath import mp
 
 HARD_ENUMERATION_LIMIT = 10**9
 DEFAULT_CAP = 10**6
+SCAN_MODULUS = (1 << 61) - 1  # a Mersenne prime: a_n = 0 implies a_n = 0 mod it
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,9 @@ class SmlVerdict:
     """Outcome of decide_zeros.
 
     status is one of ZerosFound / NoZerosUpToBound / Degenerate / Unsupported.
-    N is the bound actually enumerated; `bound` keeps the raw real bound and
-    `truncated` flags enumeration cut short of it (bound too large or capped).
+    N is the bound actually enumerated; `bound` keeps the raw real bound (inf
+    past the float range, which `reason` then says) and `truncated` flags
+    enumeration cut short of it (bound too large or capped).
     """
 
     status: str
@@ -330,7 +333,11 @@ def strip_common_primes(
 
 
 def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> float:
-    """G^(1/3 + exponent term) / h_max: past this index the sequence cannot vanish."""
+    """G^(1/3 + exponent term) / h_max: past this index the sequence cannot vanish.
+
+    The bound is evaluated in mpmath and returned as a float, which is inf once
+    it passes the float range.
+    """
     if G < 2:
         raise BadRadical(f"radical must be at least 2, got {G}")
     if h_max <= 0:
@@ -340,11 +347,17 @@ def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> fl
         return float(mp.mpf(G) ** (mp.mpf(1) / 3 + term) / h_max)
 
 
-def _state_at(spec: RecurrenceSpec, n: int) -> tuple[int, int, int]:
-    """(a_n, a_{n+1}, a_{n+2}) by exact companion-matrix power."""
+def _state_at(spec: RecurrenceSpec, n: int, modulus: int | None = None,
+              state: tuple[int, int, int] | None = None) -> tuple[int, int, int]:
+    """(a_n, a_{n+1}, a_{n+2}) by companion-matrix power: exact, or reduced
+    mod `modulus` after every product.  Given the state (a_m, a_{m+1}, a_{m+2})
+    instead of the initial values, it returns the state at m + n."""
+    def reduce(x: int) -> int:
+        return x if modulus is None else x % modulus
+
     def mat_mul(A, B):
         return tuple(
-            tuple(sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3))
+            tuple(reduce(sum(A[i][k] * B[k][j] for k in range(3))) for j in range(3))
             for i in range(3)
         )
 
@@ -356,29 +369,47 @@ def _state_at(spec: RecurrenceSpec, n: int) -> tuple[int, int, int]:
             P = mat_mul(P, M)
         M = mat_mul(M, M)
         e >>= 1
-    v = (spec.a0, spec.a1, spec.a2)
-    return tuple(sum(P[i][k] * v[k] for k in range(3)) for i in range(3))
+    v = state if state is not None else (spec.a0, spec.a1, spec.a2)
+    return tuple(reduce(sum(P[i][k] * v[k] for k in range(3))) for i in range(3))
 
 
 def _scan_chunk(args) -> list[int]:
+    """The n in [n_start, n_start + count) with a_n = 0 mod SCAN_MODULUS,
+    stepping the recurrence from the reduced state at n_start."""
     c1, c2, c3, state, n_start, count = args
     w0, w1, w2 = state
-    zeros = []
-    for offset in range(count):
-        if w0 == 0:
-            zeros.append(n_start + offset)
-        w0, w1, w2 = w1, w2, c1 * w2 + c2 * w1 + c3 * w0
-    return zeros
+    candidates = []
+    for n in range(n_start, n_start + count):
+        if not w0:
+            candidates.append(n)
+        w0, w1, w2 = w1, w2, (c1 * w2 + c2 * w1 + c3 * w0) % SCAN_MODULUS
+    return candidates
 
 
 def _enumerate_zeros(spec: RecurrenceSpec, limit: int, workers: int) -> tuple[int, ...]:
-    """All n in [0, limit] with a_n = 0, by exact integer evaluation of one
-    contiguous range per worker, each started from its own exact state."""
+    """All n in [0, limit] with a_n = 0.
+
+    One contiguous range per worker is scanned modulo SCAN_MODULUS from its
+    own reduced start state.  Every zero is a candidate, because a_n = 0
+    implies a_n = 0 mod SCAN_MODULUS; each candidate is then kept only if
+    a_n = 0 exactly.  The exact state is carried from one candidate to the
+    next, so even a sequence whose every term is a candidate costs no more
+    than an exact scan.
+    """
     total = limit + 1
     size = total if total < 64 else ceil(total / workers)
-    tasks = [(spec.c1, spec.c2, spec.c3, _state_at(spec, start), start,
+    c1, c2, c3 = (c % SCAN_MODULUS for c in (spec.c1, spec.c2, spec.c3))
+    tasks = [(c1, c2, c3, _state_at(spec, start, SCAN_MODULUS), start,
               min(size, total - start)) for start in range(0, total, size)]
-    return tuple(n for chunk in _pool_map(_scan_chunk, tasks, workers) for n in chunk)
+    zeros = []
+    at, state = 0, (spec.a0, spec.a1, spec.a2)
+    for chunk in _pool_map(_scan_chunk, tasks, workers):
+        for n in chunk:
+            state = _state_at(spec, n - at, state=state)
+            at = n
+            if state[0] == 0:
+                zeros.append(n)
+    return tuple(zeros)
 
 
 def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
@@ -431,20 +462,23 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
 
     h_max = heights[-1]
     bound = zero_bound(G, h_max, config)
-    n_int = floor(bound)
     truncated = False
-    limit = n_int
-    if n_int > HARD_ENUMERATION_LIMIT:
+    reason = ""
+    if bound >= HARD_ENUMERATION_LIMIT + 1:  # also when bound is inf
         limit = cap if cap is not None else DEFAULT_CAP
         truncated = True
-    elif cap is not None and cap < n_int:
-        limit = cap
-        truncated = True
+        if isinf(bound):
+            reason = "the zero bound exceeds float range"
+    else:
+        limit = floor(bound)
+        if cap is not None and cap < limit:
+            limit = cap
+            truncated = True
     limit = max(limit, certificate.n0, 2)
 
     zeros = _enumerate_zeros(spec, limit, workers)
     status = "ZerosFound" if zeros else "NoZerosUpToBound"
     return SmlVerdict(
         status=status, zeros=zeros, N=limit, bound=bound, G=G, h_max=h_max,
-        C=config.C_main, n0=certificate.n0, truncated=truncated,
+        C=config.C_main, n0=certificate.n0, truncated=truncated, reason=reason,
     )

@@ -208,19 +208,21 @@ def rosser_violations(n_max: int) -> tuple[list[int], list[int]]:
 
 
 def primorial_chain_violations(k_max: int) -> list[int]:
-    """k where prod_{i<=k} p_i > 2^k k^k prod_{i=3..k} log i, by direct product
-    comparison (exact integer primorial against the float right-hand side)."""
+    """k where prod_{i<=k} p_i > 2^k k^k prod_{i=3..k} log i, compared in log
+    space: log of the exact integer primorial against
+    k log 2 + k log k + sum_{i=3..k} log log i."""
     if k_max < 1:
         raise BadParameter("k_max must be at least 1")
     ps = first_primes(k_max)
     bad = []
     primorial = 1
-    log_product = 1.0
+    log_log_sum = 0.0
+    slack = math.log1p(1e-9)
     for k, p in enumerate(ps, start=1):
         primorial *= p
         if k >= 3:
-            log_product *= math.log(k)
-        bound = 2.0**k * float(k) ** k * log_product
-        if primorial > bound * (1 + 1e-9):
+            log_log_sum += math.log(math.log(k))
+        log_bound = k * math.log(2) + k * math.log(k) + log_log_sum
+        if math.log(primorial) > log_bound + slack:
             bad.append(k)
     return bad

@@ -328,6 +328,17 @@ class TestYuBound:
         with pytest.raises(BadParameter):
             yu_ord_bound(1, 1, 1, 2, [1.0, 2.0], 3)
 
+    def test_non_finite_rejected(self):
+        for heights, B in (([math.nan], 3), ([math.inf], 3), ([1.0], math.nan),
+                           ([1.0], math.inf)):
+            with pytest.raises(BadParameter):
+                yu_ord_bound(1, 1, 1, 2, heights, B)
+        for name in ("C_main", "G_min", "gyory_C13", "gyory_C14",
+                     "lefourn_C118", "lefourn_C119"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(BadParameter):
+                    BoundConfig(**{name: value})
+
 
 class TestTidyBound:
     def test_examples(self):
@@ -346,6 +357,11 @@ class TestTidyBound:
     def test_rejects_nonpositive(self):
         with pytest.raises(BadParameter):
             tidy_bound(0.0)
+
+    def test_rejects_non_finite(self):
+        for x in (math.nan, math.inf):
+            with pytest.raises(BadParameter):
+                tidy_bound(x)
 
 
 class TestLandau:

@@ -57,6 +57,33 @@ class TestExitCodes:
         assert code == 1 and "corollary 3" in err
 
 
+SML_FLAGSHIP = ["sml", "decide", "--c1", "10", "--c2", "-31", "--c3", "30",
+                "--a0", "31", "--a1", "112", "--a2", "452"]
+ABC_CHECK = ["abc-check", "--theorem", "2", "--a", "1", "--b", "80", "--c", "-81"]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("args", [
+        SML_FLAGSHIP + ["--C", "nan"],
+        SML_FLAGSHIP + ["--C", "inf"],
+        ABC_CHECK + ["--C", "nan"],
+        ABC_CHECK + ["--C", "inf"],
+        ["tidy", "--x", "nan"],
+        ["yu-bound", "--n", "1", "--degree", "1", "--e-p", "1", "--norm-p", "2",
+         "--heights", "nan", "--B", "3"],
+    ])
+    def test_exit_one(self, capsys, args):
+        code, out, err = run(capsys, args)
+        assert code == 1 and "input error" in err
+        assert "nan" not in out
+
+    def test_config_file_nan(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("C_main = nan\n")
+        code, _, err = run(capsys, SML_FLAGSHIP + ["--config", os.fspath(path)])
+        assert code == 1 and "C_main" in err
+
+
 class TestCommands:
     def test_factor(self, capsys):
         code, out, _ = run(capsys, ["factor", "--field", "Q(i)", "--element", "5"])

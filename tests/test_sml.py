@@ -2,6 +2,8 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abckit import (
     AlgebraicInt,
@@ -26,7 +28,14 @@ from abckit.errors import (
     RootsNotCoprime,
     UnsupportedField,
 )
-from abckit.sml import closed_form_value, _state_at
+from abckit.arith import primes_upto
+from abckit.sml import (
+    SCAN_MODULUS,
+    _enumerate_zeros,
+    _scan_chunk,
+    _state_at,
+    closed_form_value,
+)
 
 Q = RATIONALS
 FLAGSHIP = RecurrenceSpec(10, -31, 30, 31, 112, 452)
@@ -341,6 +350,22 @@ class TestDecideZeros:
             scaled_zero = RecurrenceSpec(10, -31, 30, m, 0, -12 * m)
             assert decide_zeros(scaled_zero).zeros == (1,)
 
+    def test_bound_past_float_range(self):
+        # a_n = K1 2^n + K2 3^n + 5^n with K1, K2 the products of the primes
+        # in [7, 3000) and [3000, 6000): G^(1/3 + term) passes 1e308
+        K1 = K2 = 1
+        for p in primes_upto(6000):
+            if 7 <= p < 3000:
+                K1 *= p
+            elif p >= 3000:
+                K2 *= p
+        a = [K1 * 2**n + K2 * 3**n + 5**n for n in range(3)]
+        verdict = decide_zeros(RecurrenceSpec(10, -31, 30, *a), cap=100)
+        assert verdict.status == "NoZerosUpToBound" and verdict.zeros == ()
+        assert verdict.truncated and verdict.N == 100
+        assert math.isinf(verdict.bound)
+        assert "float range" in verdict.reason
+
     def test_workers_agree(self):
         seq = decide_zeros(FLAGSHIP, workers=1)
         par = decide_zeros(FLAGSHIP, workers=3)
@@ -412,3 +437,54 @@ class TestStateJump:
         values = recurrence_values(FLAGSHIP, 40)
         for n in (0, 1, 2, 5, 17, 37):
             assert _state_at(FLAGSHIP, n) == tuple(values[n:n + 3])
+
+
+def exact_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
+    """The reference scan: every a_n for n <= limit in exact integers."""
+    w0, w1, w2 = spec.a0, spec.a1, spec.a2
+    zeros = []
+    for n in range(limit + 1):
+        if w0 == 0:
+            zeros.append(n)
+        w0, w1, w2 = w1, w2, spec.c1 * w2 + spec.c2 * w1 + spec.c3 * w0
+    return tuple(zeros)
+
+
+class TestModularScan:
+    def test_reduced_state_matches_exact(self):
+        values = recurrence_values(FLAGSHIP, 40)
+        for n in (0, 1, 2, 5, 17, 37):
+            assert _state_at(FLAGSHIP, n, SCAN_MODULUS) == tuple(
+                v % SCAN_MODULUS for v in values[n:n + 3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.tuples(st.integers(-6, 6), st.integers(-6, 6),
+                    st.integers(-6, 6).filter(bool)),
+        a=st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)),
+        limit=st.integers(0, 300),
+        workers=st.sampled_from([1, 3]),
+    )
+    def test_matches_exact_scan(self, c, a, limit, workers):
+        spec = RecurrenceSpec(*c, *a)
+        assert _enumerate_zeros(spec, limit, workers) == exact_zeros(spec, limit)
+
+    @pytest.mark.parametrize("spec", [
+        FLAGSHIP,
+        RecurrenceSpec(10, -31, 30, 1, 0, -12),
+        RecurrenceSpec(10, -31, 30, -3, 0, 36),
+        RecurrenceSpec(2, -4, 3, 0, -10, -4),
+    ])
+    def test_flagship_and_planted_zeros(self, spec):
+        limit = decide_zeros(spec).N
+        for workers in (1, 3):
+            assert _enumerate_zeros(spec, limit, workers) == exact_zeros(spec, limit)
+
+    def test_confirmation_decides_when_every_term_is_a_candidate(self):
+        # a_n = M (2^n + 3^n - 5^n): every term is 0 mod M, only a_1 is 0
+        M = SCAN_MODULUS
+        spec = RecurrenceSpec(10, -31, 30, M, 0, -12 * M)
+        candidates = _scan_chunk((10, -31 % M, 30, _state_at(spec, 0, M), 0, 301))
+        assert candidates == list(range(301))
+        for workers in (1, 3):
+            assert _enumerate_zeros(spec, 300, workers) == (1,) == exact_zeros(spec, 300)

@@ -159,6 +159,13 @@ class TestPrimeGrowthInequalities:
     def test_primorial_chain_to_50(self):
         assert primorial_chain_violations(50) == []
 
+    def test_primorial_chain_past_float_range(self):
+        # 2^k k^k passes the float range near k = 144; the log-space
+        # comparison keeps going
+        assert primorial_chain_violations(143) == []
+        assert primorial_chain_violations(150) == []
+        assert primorial_chain_violations(1000) == []
+
     def test_validation(self):
         with pytest.raises(BadParameter):
             rosser_violations(0)
