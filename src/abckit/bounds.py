@@ -23,7 +23,6 @@ from .errors import (
     HypothesisFails,
     NotApplicable,
 )
-from .pool import _pool_map, worker_count
 from .radical import AbcTriple, Selectors, triple_height
 
 E_SQUARED_GUARD = math.e**math.e  # below this the triple-log exponent turns negative
@@ -90,14 +89,18 @@ def is_small_radical(G: int, config: BoundConfig = DEFAULT_CONFIG) -> bool:
     return G <= config.G_min
 
 
+def _check_radical(G: int) -> None:
+    if G < 2:
+        raise BadRadical(f"radical must be at least 2, got {G}")
+
+
 def exponent_term(G: int, C: float, config: BoundConfig = DEFAULT_CONFIG) -> float:
     """C * (logloglog G / loglog G) for G above the small-radical guard, else 0.
 
     With ``full_exponent`` the dropped lower-order terms 1/loglog G and
     loglog G / log G are added back in.
     """
-    if G < 2:
-        raise BadRadical(f"radical must be at least 2, got {G}")
+    _check_radical(G)
     if is_small_radical(G, config):
         return 0.0
     with mp.workprec(config.precision_bits):
@@ -438,49 +441,35 @@ def lefourn_sunit_bound(h_alpha: float, h_beta: float, degree: int, t: int,
 # Calibration of the leading constant from data
 
 
-def _min_c_single(lhs: float, base: float, kappa_log_g: float, tol: float) -> float:
-    """Smallest C with lhs <= base * exp(C * kappa_log_g), by bisection to tol."""
-    if lhs <= base:
-        return 0.0
-    if kappa_log_g <= 0:
-        raise BadParameter(
-            "a small-radical triple violates its bound at every C; no finite C exists"
-        )
-    hi = 1.0
-    while base * math.exp(hi * kappa_log_g) < lhs:
-        hi *= 2
-        if hi > 2**40:  # pragma: no cover - guards absurd data
-            raise BadParameter("calibration diverged")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if base * math.exp(mid * kappa_log_g) >= lhs:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _chunk_calibration_max(args) -> float:
-    rows, tol = args
-    return max(_min_c_single(lhs, base, klg, tol) for lhs, base, klg in rows)
-
-
 def empirical_min_C(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
-                    workers: int = 1, tol: float = 1e-6) -> float:
+                    tol: float = 1e-6) -> float:
     """Smallest C_main making the chosen theorem's inequality hold on every
-    triple, found by per-triple bisection to ``tol`` and merged by max.
+    triple, rounded up by at most ``tol``.
 
-    The result is independent of how the dataset is partitioned, so any
-    worker count returns the same value.
+    A triple with log H <= base holds at C = 0.  Any other needs
+    log H <= base * G^(C * kappa), kappa = exponent_term(G, 1), which solves
+    in closed form to C_row = (log log H - log base) / (kappa * log G).  The
+    result is max C_row + tol/2, or 0.0 when no triple needs C; the tol/2
+    outward rounding keeps the theorem's report holding at the returned C.
+    Being a max plus a constant, it does not depend on how the dataset is
+    partitioned.
     """
-    workers = worker_count(workers)
-    rows = []
-    for triple in triples:
-        base = math.exp(_log_base(triple.height_selectors, theorem))
-        kappa = exponent_term(triple.G, 1.0, config)
-        rows.append((_log_height(triple, config), base, kappa * math.log(triple.G)))
-    if not rows:
+    if not 0 < tol < math.inf:
+        raise BadParameter(f"tol must be positive and finite, got {tol}")
+    triples = list(triples)
+    if not triples:
         raise EmptyDataset("calibration needs at least one triple")
-    chunks = [(rows[i::workers], tol) for i in range(min(workers, len(rows)))]
-    return max(_pool_map(_chunk_calibration_max, chunks, workers))
+    needed = []
+    for triple in triples:
+        log_base = _log_base(triple.height_selectors, theorem)
+        _check_radical(triple.G)
+        lhs = _log_height(triple, config)
+        if lhs <= math.exp(log_base):
+            continue
+        kappa_log_g = exponent_term(triple.G, 1.0, config) * math.log(triple.G)
+        if kappa_log_g <= 0:
+            raise BadParameter(
+                "a small-radical triple violates its bound at every C; no finite C exists"
+            )
+        needed.append((math.log(lhs) - log_base) / kappa_log_g)
+    return max(needed) + tol / 2 if needed else 0.0

@@ -276,7 +276,7 @@ def _cmd_sml_decide(args) -> int:
           f"(raw bound {fmt(verdict.bound)}, G={verdict.G}, "
           f"h_max={fmt(verdict.h_max)}, C={fmt(verdict.C)})")
     if verdict.truncated:
-        print(f"{verdict.reason or 'bound too large'}: enumeration truncated at the cap")
+        print(f"enumeration truncated at the cap: {verdict.reason}")
     if verdict.zeros:
         print("zeros at n = " + ", ".join(str(n) for n in verdict.zeros))
     print(verdict.machine_line())
@@ -305,8 +305,7 @@ def _cmd_xyz_search(args) -> int:
 def _cmd_calibrate(args) -> int:
     config = _config_from_args(args)
     triples = radical.enumerate_primitive_triples(args.H_limit)
-    value = bounds.empirical_min_C(triples, args.theorem, config,
-                                   workers=args.workers)
+    value = bounds.empirical_min_C(triples, args.theorem, config)
     print(f"empirical min C for theorem {args.theorem} over "
           f"{len(triples)} triples with H <= {args.H_limit}: {fmt(value)}")
     return 0
@@ -417,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="smallest C making a bound hold on a dataset")
     p.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--H-limit", dest="H_limit", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     _add_config_options(p)
     p.set_defaults(handler=_cmd_calibrate)
 

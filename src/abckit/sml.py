@@ -65,8 +65,9 @@ class SmlVerdict:
 
     status is one of ZerosFound / NoZerosUpToBound / Degenerate / Unsupported.
     N is the bound actually enumerated; `bound` keeps the raw real bound (inf
-    past the float range, which `reason` then says) and `truncated` flags
-    enumeration cut short of it (bound too large or capped).
+    past the float range) and `truncated` flags enumeration cut short of it,
+    with `reason` saying why: the cap, the hard enumeration limit or the
+    float range.
     """
 
     status: str
@@ -421,6 +422,8 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
     with RootsNotCoprime.
     """
     workers = worker_count(workers)
+    if cap is not None and cap < 0:
+        raise BadParameter(f"cap must be nonnegative, got {cap}")
     try:
         roots, field = find_roots(char_poly(spec))
     except RepeatedRoots as exc:
@@ -467,11 +470,12 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
     if bound >= HARD_ENUMERATION_LIMIT + 1:  # also when bound is inf
         limit = cap if cap is not None else DEFAULT_CAP
         truncated = True
-        if isinf(bound):
-            reason = "the zero bound exceeds float range"
+        reason = ("the zero bound exceeds float range" if isinf(bound) else
+                  f"the zero bound exceeds the hard limit {HARD_ENUMERATION_LIMIT}")
     else:
         limit = floor(bound)
         if cap is not None and cap < limit:
+            reason = f"the cap {cap} is below the zero bound {limit}"
             limit = cap
             truncated = True
     limit = max(limit, certificate.n0, 2)

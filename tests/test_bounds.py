@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from abckit import (
     RATIONALS,
+    AlgebraicInt,
     QuadraticField,
     corollary_bound,
     empirical_min_C,
@@ -20,7 +22,12 @@ from abckit import (
     yu_ord_bound,
 )
 from abckit.arith import prime_ideals_in_norm_order
-from abckit.bounds import BoundConfig, DEFAULT_CONFIG
+from abckit.bounds import (
+    BoundConfig,
+    DEFAULT_CONFIG,
+    _log_base,
+    _log_height,
+)
 from abckit.errors import (
     BadAlpha,
     BadParameter,
@@ -425,7 +432,7 @@ class TestCalibration:
         assert c > 0
         report = thm2_rhs(t, DEFAULT_CONFIG.with_C(c))
         assert report.holds
-        # 1e-6 bisection tolerance translates to a slim positive margin
+        # the tol/2 = 5e-7 outward rounding leaves a slim positive margin
         tight = thm2_rhs(t, DEFAULT_CONFIG.with_C(max(c - 1e-4, 0.0)))
         assert not tight.holds
 
@@ -434,15 +441,30 @@ class TestCalibration:
         grown = empirical_min_C([T189, make_triple(3, 125, -128)], 2)
         assert grown >= small
 
-    def test_worker_counts_agree(self, rng):
+    def test_partition_invariant(self, rng):
         dataset = [random_triple(rng, Q, 500) for _ in range(80)]
-        sequential = empirical_min_C(dataset, 2, workers=1)
-        parallel = empirical_min_C(dataset, 2, workers=3)
-        assert sequential == parallel
+        dataset.append(make_triple(3, 125, -128))
+        whole = empirical_min_C(dataset, 2)
+        assert whole > 0
+        assert whole == max(empirical_min_C(dataset[::2], 2),
+                            empirical_min_C(dataset[1::2], 2))
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             empirical_min_C([], 2)
+
+    def test_all_unit_triple_has_no_radical(self):
+        field = QuadraticField(-3)  # 1 + (w - 1) + (-w) = 0, all units
+        units = make_triple(AlgebraicInt(field, 1), AlgebraicInt(field, -1, 1),
+                            AlgebraicInt(field, 0, -1), field)
+        assert units.G == 1
+        with pytest.raises(BadRadical):
+            empirical_min_C([units], 2)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(BadParameter):
+            empirical_min_C([make_triple(3, 125, -128)], 2, tol=tol)
 
     def test_thm3_needs_the_radical_guard_respected(self):
         from abckit.radical import enumerate_primitive_triples
@@ -459,3 +481,57 @@ class TestCalibration:
         from abckit import thm3_rhs as thm3
 
         assert all(thm3(t, config).holds for t in filtered)
+
+
+def bisection_min_c(lhs: float, base: float, kappa_log_g: float, tol: float) -> float:
+    """Reference: smallest C with lhs <= base * exp(C * kappa_log_g), by
+    bisection to tol."""
+    if lhs <= base:
+        return 0.0
+    if kappa_log_g <= 0:
+        raise BadParameter("a small-radical triple violates its bound at every C")
+    hi = 1.0
+    while base * math.exp(hi * kappa_log_g) < lhs:
+        hi *= 2
+    lo = 0.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if base * math.exp(mid * kappa_log_g) >= lhs:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestCalibrationAgainstBisection:
+    """The closed form against a per-triple bisection on the same rows."""
+
+    TOL = 1e-6
+    REPORTS = {1: thm1_rhs, 2: thm2_rhs, 3: thm3_rhs}
+
+    @pytest.mark.parametrize("d", [None, -1, -7])
+    @pytest.mark.parametrize("theorem", [1, 2, 3])
+    def test_matches_bisection_and_is_minimal(self, d, theorem):
+        field = Q if d is None else QuadraticField(d)
+        positive = 0
+        for seed in range(4):
+            rng = random.Random(seed)
+            dataset = [random_triple(rng, field, rng.choice((30, 100, 1000)))
+                       for _ in range(60)]
+            if theorem == 3:
+                dataset = [t for t in dataset if t.G > DEFAULT_CONFIG.G_min]
+            oracle = max(bisection_min_c(
+                _log_height(t, DEFAULT_CONFIG),
+                math.exp(_log_base(t.height_selectors, theorem)),
+                exponent_term(t.G, 1.0) * math.log(t.G), self.TOL) for t in dataset)
+            c = empirical_min_C(dataset, theorem, tol=self.TOL)
+            assert abs(c - oracle) <= self.TOL
+            report = self.REPORTS[theorem]
+            config = DEFAULT_CONFIG.with_C(c)
+            assert all(report(t, config).holds for t in dataset)
+            if c > 0:
+                positive += 1
+                below = DEFAULT_CONFIG.with_C(max(c - 2 * self.TOL, 0.0))
+                assert not all(report(t, below).holds for t in dataset)
+        if theorem == 3:
+            assert positive  # the minimality check ran

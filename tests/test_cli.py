@@ -1,8 +1,12 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abckit.cli import dispatch, fmt, load_config, read_csv, write_csv
 from abckit.errors import BadValue, ParseError, UnknownKey
@@ -121,6 +125,16 @@ class TestCommands:
         assert "NoZerosUpToBound" in out
         machine = [line for line in out.splitlines() if line.startswith("NoZeros")][-1]
         assert machine == "NoZerosUpToBound,816,30030,"
+
+    def test_sml_decide_cap_reason(self, capsys):
+        code, out, _ = run(capsys, SML_FLAGSHIP + ["--cap", "100"])
+        assert code == 0
+        assert "truncated at the cap: the cap 100 is below the zero bound 816" in out
+        assert "NoZerosUpToBound,100,30030," in out
+
+    def test_sml_decide_negative_cap(self, capsys):
+        code, out, err = run(capsys, SML_FLAGSHIP + ["--cap", "-5"])
+        assert code == 1 and "cap must be nonnegative" in err and out == ""
 
     def test_yu_bound(self, capsys):
         code, out, _ = run(capsys, ["yu-bound", "--n", "1", "--degree", "1",
@@ -258,3 +272,137 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "(2)^3" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Fuzz gate: every generated argv ends in a documented exit code.  Most values
+# are drawn three times in four from a valid range and otherwise from a wide
+# one, so that both the success paths and the input errors are reached.
+
+
+INTS = st.integers(-10**6, 10**6)
+FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400"]),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+)
+FIELDS = st.sampled_from(["Q", "Q(i)", "Q(sqrt(-3))", "Q(sqrt(-7))", "Q(sqrt(-5))", "R"])
+
+
+def _mostly(valid, wide=INTS):
+    return st.one_of(valid, valid, valid, wide)
+
+
+THEOREMS = _mostly(st.integers(1, 3), st.integers(-1, 5))
+WORKERS = _mostly(st.just(1), st.integers(-1, 1))
+
+
+def _floats(lo: float, hi: float):
+    return _mostly(st.floats(lo, hi).map(repr), FLOATS)
+
+
+def _element(x: int, y: int) -> str:
+    return str(x) if y == 0 else f"{x}{y:+d}*w"
+
+
+@st.composite
+def _triple_args(draw) -> list[str]:
+    field = draw(FIELDS)
+    ys = st.just(0) if field == "Q" else _mostly(st.integers(-50, 50))
+    (x1, y1), (x2, y2) = draw(st.tuples(INTS, ys)), draw(st.tuples(INTS, ys))
+    args = ["--field", field, f"--a={_element(x1, y1)}", f"--b={_element(x2, y2)}"]
+    orientation = draw(st.sampled_from(["c", "z", "other"]))
+    if orientation == "c":
+        return args + [f"--c={_element(-x1 - x2, -y1 - y2)}"]
+    if orientation == "z":
+        return args + [f"--z={_element(x1 + x2, y1 + y2)}"]
+    return args + [f"--c={_element(draw(INTS), 0)}"]
+
+
+@st.composite
+def _config_args(draw) -> list[str]:
+    args = []
+    for flag, lo, hi in (("--C", 0, 5), ("--G-min", 3, 1e4)):
+        if draw(st.booleans()):
+            args.append(f"{flag}={draw(_floats(lo, hi))}")
+    if draw(st.booleans()):
+        args.append("--full-exponent")
+    return args
+
+
+@st.composite
+def _argv(draw, out_path: str) -> list[str]:
+    command = draw(st.sampled_from([
+        "factor", "height", "radical", "abc-check", "corollary", "yu-bound",
+        "landau", "tidy", "sml", "xyz", "calibrate",
+    ]))
+    if command == "factor":
+        field = draw(FIELDS)
+        y = 0 if field == "Q" else draw(_mostly(st.integers(-50, 50)))
+        return [command, "--field", field, f"--element={_element(draw(INTS), y)}"]
+    if command == "height":
+        if draw(st.booleans()):
+            coords = draw(st.lists(INTS.map(str), min_size=1, max_size=3))
+            return [command, "--field", draw(FIELDS), f"--coords={','.join(coords)}"]
+        return [command, f"--num={draw(INTS)}", f"--den={draw(INTS)}"]
+    if command == "radical":
+        return [command] + draw(_triple_args())
+    if command == "abc-check":
+        return [command, f"--theorem={draw(THEOREMS)}"] + draw(_triple_args()) + \
+            draw(_config_args())
+    if command == "corollary":
+        argv = [command, f"--id={draw(st.integers(-1, 14))}"] + draw(_triple_args())
+        if draw(st.booleans()):
+            argv.append(f"--alpha={draw(_floats(0, 1))}")
+        if draw(st.booleans()):
+            argv.append(f"--form={draw(st.integers(0, 3))}")
+        return argv + draw(_config_args())
+    if command == "yu-bound":
+        heights = draw(st.lists(_floats(0, 100), min_size=1, max_size=3))
+        n = draw(_mostly(st.just(len(heights))))
+        return [command, f"--n={n}", f"--degree={draw(_mostly(st.integers(1, 4)))}",
+                f"--e-p={draw(_mostly(st.integers(1, 4)))}",
+                f"--norm-p={draw(_mostly(st.integers(2, 10**4)))}",
+                f"--heights={','.join(heights)}", f"--B={draw(_floats(3, 1e6))}"]
+    if command == "landau":
+        R = draw(_mostly(st.integers(1, 50), st.integers(-10**6, 0)))
+        return [command, "--field", draw(FIELDS), f"--R={R}"]
+    if command == "tidy":
+        return [command, f"--x={draw(_floats(0, 1e6))}"]
+    if command == "sml":
+        small = _mostly(st.integers(-60, 60))
+        values = [draw(small) for _ in range(6)]
+        if draw(st.booleans()):  # a_n = k1 r1^n + k2 r2^n + k3 r3^n: rational roots
+            (r1, r2, r3), ks = values[:3], values[3:]
+            values = [r1 + r2 + r3, -(r1 * r2 + r1 * r3 + r2 * r3), r1 * r2 * r3,
+                      *(sum(k * r**n for k, r in zip(ks, values[:3])) for n in range(3))]
+        coefficients = [f"--{name}={value}" for name, value
+                        in zip(("c1", "c2", "c3", "a0", "a1", "a2"), values)]
+        cap = draw(_mostly(st.integers(0, 300), st.integers(-10**6, -1)))
+        return [command, "decide", *coefficients, f"--cap={cap}",
+                f"--workers={draw(WORKERS)}"] + draw(_config_args())
+    if command == "xyz":
+        P = draw(_mostly(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]),
+                         st.integers(-10**6, 23)))
+        limit = draw(_mostly(st.integers(1, 10**4), st.integers(-10**6, 0)))
+        return [command, "search", f"--P={P}", f"--limit={limit}",
+                f"--phi={draw(_mostly(st.integers(1, 3), st.integers(-1, 5)))}",
+                "--out", out_path, f"--workers={draw(WORKERS)}"]
+    H_limit = draw(_mostly(st.integers(1, 40), st.integers(-10**6, 0)))
+    return [command, f"--theorem={draw(THEOREMS)}", f"--H-limit={H_limit}"] + \
+        draw(_config_args())
+
+
+def test_fuzzed_argv_exits_cleanly(tmp_path_factory):
+    out_path = os.fspath(tmp_path_factory.mktemp("fuzz") / "triples.csv")
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_argv(out_path))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code == 0:
+            assert "nan" not in out.getvalue().lower(), (argv, out.getvalue())
+
+    check()

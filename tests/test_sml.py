@@ -333,6 +333,7 @@ class TestDecideZeros:
         verdict = decide_zeros(spec, cap=50)
         assert verdict.truncated and verdict.N == 50
         assert verdict.bound > 10**9
+        assert "hard limit" in verdict.reason
         assert verdict.status == "NoZerosUpToBound"
 
     def test_stripping_keeps_radical_small(self):
