@@ -18,6 +18,7 @@ from .arith import factor_element, parse_element, parse_field
 from .bounds import BoundConfig
 from .errors import (
     AbckitError,
+    BadParameter,
     BadValue,
     InputError,
     NotApplicable,
@@ -50,11 +51,19 @@ _INT_KEYS = {"precision_bits"}
 _BOOL_KEYS = {"full_exponent"}
 
 
+def _open(path: str, mode: str, action: str, **kwargs):
+    """open(path, mode), with an OSError turned into BadParameter (exit 1)."""
+    try:
+        return open(path, mode, encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise BadParameter(f"cannot {action} {path}: {exc.strerror or exc}") from exc
+
+
 def load_config(path: str | None) -> BoundConfig:
     """Parse a config file; absent keys keep their defaults."""
     bound_kwargs: dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
+        with _open(path, "r", "read config") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -103,7 +112,7 @@ def _config_from_args(args) -> BoundConfig:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _open(path, "w", "write", newline="") as handle:
         writer = csv.writer(handle, quoting=csv.QUOTE_NONE)
         writer.writerow(header)
         for row in rows:

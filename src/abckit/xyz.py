@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd
+from itertools import chain, islice
 
 from .arith import first_primes, is_probable_prime, primes_upto
 from .errors import BadParameter, BadPhi
@@ -57,58 +57,73 @@ def smooth_numbers(P: int, limit: int) -> list[int]:
     return values
 
 
-def _distinct_prime_data(n: int, primes: list[int]) -> tuple[int, int]:
-    """(largest prime, product of distinct primes) of a smooth n; (0, 1) for 1."""
-    top, rad = 0, 1
-    for p in primes:
-        if n % p == 0:
-            top, rad = p, rad * p
-            while n % p == 0:
-                n //= p
-    if n != 1:
-        raise BadParameter("value is not smooth for the given prime list")
-    return top, rad
+def _support_mask(n: int, primes: list[int]) -> int:
+    """Bit i set exactly when primes[i] divides n."""
+    return sum(1 << i for i, p in enumerate(primes) if n % p == 0)
 
 
-def _make_triple(x: int, z: int, primes: list[int]) -> SmoothTriple:
+def _make_triple(x: int, z: int, masks: dict[int, int], radicals: dict[int, int],
+                 primes: list[int]) -> SmoothTriple:
     y = z - x
-    sx, gx = _distinct_prime_data(x, primes)
-    sy, gy = _distinct_prime_data(y, primes)
-    sz, gz = _distinct_prime_data(z, primes)
-    # primitivity makes the three prime sets disjoint
-    return SmoothTriple(x, y, z, max(sx, sy, sz), gx * gy * gz, z)
+    mx, my, mz = masks[x], masks[y], masks[z]
+    top = primes[(mx | my | mz).bit_length() - 1]  # z >= 2, so the support is not empty
+    return SmoothTriple(x, y, z, top, radicals[mx] * radicals[my] * radicals[mz], z)
 
 
-def _scan_chunk(args) -> list[tuple[int, int]]:
-    smooth, start, step = args
-    members = set(smooth)
+def _join_groups(args) -> list[tuple[int, int]]:
+    """(X, Z) of every triple whose Z lies in groups[start::step].
+
+    groups pairs each support mask with its ascending smooth numbers, ordered
+    by their smallest numbers.  The X list of a Z group holds the numbers of
+    every disjoint mask up to half the group's largest Z; each Z of the group
+    probes its prefix up to Z/2.
+    """
+    groups, start, step = args
+    members = {v for _, values in groups for v in values}
+    smallest = [values[0] for _, values in groups]  # ascending: groups come in that order
     found = []
-    for z in smooth[start::step]:
-        half = bisect_right(smooth, z // 2)
-        for x in smooth[:half]:
-            if z - x in members and gcd(x, z) == 1:
-                found.append((x, z))
+    for mz, zs in groups[start::step]:
+        half_max = zs[-1] // 2
+        xs = sorted(chain.from_iterable([
+            values[:bisect_right(values, half_max)]
+            for m, values in groups[:bisect_right(smallest, half_max)] if not m & mz]))
+        for z in zs:
+            for x in islice(xs, bisect_right(xs, z // 2)):
+                if z - x in members:
+                    found.append((x, z))
     return found
 
 
 def enumerate_triples(P: int, H_limit: int, workers: int = 1) -> list[SmoothTriple]:
     """Exactly the primitive P-smooth triples with Z <= H_limit, sorted by (Z, X).
 
-    Hash-membership join: scan pairs (X, Z) with X <= Z/2 and test Z - X
-    against the smooth set.  gcd(X, Z) = 1 suffices for primitivity since any
-    prime dividing two of X, Y, Z divides the third.  Each worker takes every
-    workers-th Z, which spreads the larger Z, and so the probes, evenly.
+    Support-mask join.  Each smooth number gets the bitmask of the primes
+    dividing it, and the numbers are grouped by mask.  X + Y = Z is primitive
+    exactly when the supports of X, Y and Z are pairwise disjoint: a prime
+    dividing two of them divides the third.  So a Z probes only the X <= Z/2
+    whose mask is disjoint from its own (that is, gcd(X, Z) = 1), and a hit is
+    Z - X in the smooth set, whose support is then disjoint from both.  The X
+    list is built once per Z-mask group.  Each worker takes every workers-th
+    group in order of the group's smallest member, which gives each a near
+    equal share of the probes; the result does not depend on workers.
     """
     if H_limit < 2:
         raise BadParameter("H_limit must be at least 2")
     workers = worker_count(workers)
     smooth = smooth_numbers(P, H_limit)
     primes = primes_upto(P)
+    grouped: dict[int, list[int]] = {}
+    for n in smooth:
+        grouped.setdefault(_support_mask(n, primes), []).append(n)
+    groups = list(grouped.items())
     step = 1 if len(smooth) < 64 else workers
-    tasks = [(smooth, start, step) for start in range(step)]
-    pairs = [p for chunk in _pool_map(_scan_chunk, tasks, workers) for p in chunk]
+    tasks = [(groups, start, step) for start in range(step)]
+    pairs = [p for chunk in _pool_map(_join_groups, tasks, workers) for p in chunk]
+    # built after the pool, so that no worker copies it
+    masks = {n: m for m, values in groups for n in values}
+    radicals = {m: math.prod(p for i, p in enumerate(primes) if m >> i & 1) for m in grouped}
     pairs.sort(key=lambda xz: (xz[1], xz[0]))
-    return [_make_triple(x, z, primes) for x, z in pairs]
+    return [_make_triple(x, z, masks, radicals, primes) for x, z in pairs]
 
 
 def verify_lemma9(triple: SmoothTriple) -> tuple[bool, float]:

@@ -179,6 +179,13 @@ class TestCsvRoundTrip:
         write_csv(rewritten, header, [[r[h] for h in header] for r in rows])
         assert open(out_path).read() == open(rewritten).read()
 
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        out_path = os.fspath(tmp_path / "missing" / "triples.csv")
+        code, _, err = run(capsys, ["xyz", "search", "--P", "5", "--limit", "100",
+                                    "--out", out_path])
+        assert code == 1
+        assert f"input error: cannot write {out_path}: No such file or directory" in err
+
     def test_abc_check_csv(self, capsys, tmp_path):
         out_path = os.fspath(tmp_path / "report.csv")
         code, _, _ = run(capsys, ["abc-check", "--theorem", "1", "--field", "Q",
@@ -233,6 +240,12 @@ class TestConfigFiles:
             code, _, err = run(capsys, ["calibrate", "--theorem", "2", "--H-limit", "10",
                                         "--config", os.fspath(path)])
             assert code == 1 and "unknown config key" in err
+
+    def test_missing_file_is_input_error(self, capsys, tmp_path):
+        path = os.fspath(tmp_path / "missing.cfg")
+        code, out, err = run(capsys, SML_FLAGSHIP + ["--config", path])
+        assert code == 1 and out == ""
+        assert f"input error: cannot read config {path}: No such file or directory" in err
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -1,9 +1,13 @@
 import math
+from bisect import bisect_right
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abckit import (
+    SmoothTriple,
     enumerate_triples,
     primorial_chain_violations,
     rosser_violations,
@@ -12,7 +16,7 @@ from abckit import (
     thm4_status,
     verify_lemma9,
 )
-from abckit.arith import factor_int
+from abckit.arith import factor_int, primes_upto
 from abckit.errors import BadParameter, BadPhi
 from abckit.xyz import NESTING_THRESHOLD
 
@@ -24,6 +28,22 @@ def brute_largest_prime_factors(limit: int) -> list[int]:
             for m in range(p, limit + 1, p):
                 lpf[m] = p
     return lpf
+
+
+def probe_join(P: int, limit: int) -> list[SmoothTriple]:
+    """The pair-probing join the support-mask join replaced, kept as its
+    oracle: every smooth Z probes every smooth X <= Z/2, and S and G come
+    from trial division of XYZ."""
+    smooth = smooth_numbers(P, limit)
+    members = set(smooth)
+    primes = primes_upto(P)
+    triples = []
+    for z in smooth:
+        for x in smooth[:bisect_right(smooth, z // 2)]:
+            if z - x in members and gcd(x, z) == 1:
+                support = [p for p in primes if x * (z - x) * z % p == 0]
+                triples.append(SmoothTriple(x, z - x, z, max(support), math.prod(support), z))
+    return triples
 
 
 class TestSmoothNumbers:
@@ -92,6 +112,23 @@ class TestEnumerateTriples:
         seq = enumerate_triples(5, 2000, workers=1)
         par = enumerate_triples(5, 2000, workers=3)
         assert seq == par
+
+    def test_23_smooth_count_to_one_million(self):
+        assert len(enumerate_triples(23, 10**6)) == 8314
+
+
+class TestMaskJoinAgainstProbeJoin:
+    @settings(max_examples=25, deadline=None)
+    @given(P=st.sampled_from(primes_upto(31)), limit=st.integers(2, 3 * 10**4),
+           workers=st.sampled_from([1, 3]))
+    def test_matches_probe_join(self, P, limit, workers):
+        assert enumerate_triples(P, limit, workers=workers) == probe_join(P, limit)
+
+    def test_masks_wider_than_64_bits(self):
+        # 331 is the 67th prime; 313, 317 and 331 take bits 64-66
+        triples = enumerate_triples(331, 400)
+        assert triples == probe_join(331, 400)
+        assert {313, 317, 331} <= {t.s for t in triples}
 
 
 class TestLemma9:
