@@ -24,7 +24,6 @@ class AbckitInternal(AssertionError):
 
 CLASS_NUMBER_ONE_D = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
-_TRIAL_LIMIT = 10**6
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -333,34 +332,92 @@ def first_primes(k: int) -> list[int]:
     return ps[:k]
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_prp(n: int, a: int) -> bool:
+    """Miller-Rabin: odd n > 2 is a strong probable prime to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    v = pow(a, (n - 1) >> s, n)
+    if v in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        v = v * v % n
+        if v == n - 1:
+            return True
+    return False
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 2.
+
+    Squares fail at once (no D below would have (D/n) = -1).  D is the first
+    of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4; with
+    n + 1 = d*2^s, n passes iff U_d = 0 or V_{d*2^r} = 0 (mod n) for some
+    0 <= r < s.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+
+    def half(v: int) -> int:
+        v %= n
+        return (v + n if v & 1 else v) // 2
+
+    # U_1 = 1, V_1 = P = 1; doubling: U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k;
+    # step: U_{k+1} = (U_k + V_k)/2, V_{k+1} = (D U_k + V_k)/2
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin: deterministic below 2^64, 64 pseudorandom rounds above."""
+    """Primality: deterministic Miller-Rabin below 2^64, Baillie-PSW above.
+
+    Below 2^64 the first twelve prime bases are a proof.  Above, n must pass
+    a strong base-2 test and a strong Lucas test with Selfridge's parameters
+    (Baillie-Wagstaff 1980); no composite is known to pass both.
+    """
     if n < 2:
         return False
     for p in _MR_BASES_64:
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-
-    def witness(a: int) -> bool:
-        v = pow(a, d, n)
-        if v in (1, n - 1):
-            return False
-        for _ in range(s - 1):
-            v = v * v % n
-            if v == n - 1:
-                return False
-        return True
-
     if n < 1 << 64:
-        bases = _MR_BASES_64
-    else:
-        rng = random.Random(n)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(64))
-    return not any(witness(a) for a in bases)
+        return all(_is_strong_prp(n, a) for a in _MR_BASES_64)
+    return _is_strong_prp(n, 2) and _is_strong_lucas_prp(n)
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:
@@ -393,33 +450,30 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def _factor_nat(n: int) -> tuple[tuple[int, int], ...]:
-    """Sorted (prime, exponent) pairs of n >= 1: trial division to 10^6, then rho."""
+    """Sorted (prime, exponent) pairs of n >= 1.
+
+    Trial division by the primes up to min(sqrt(n), 1000); a composite
+    cofactor then goes to Pollard-Brent rho, which finds a factor p in about
+    sqrt(p) steps.  A part below 1000^2 is prime by the trial division, and
+    a larger part is checked by `is_probable_prime`.
+    """
     out: dict[int, int] = {}
     if n <= 1:
         return ()
-    for p in primes_upto(min(isqrt(n), 1000)):
+    bound = 1000
+    for p in primes_upto(min(isqrt(n), bound)):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # no factor below min(sqrt, 1000) survives, so small cofactors are prime
-    if n > 1 and n >= 10**6 and not is_probable_prime(n):
-        for p in primes_upto(_TRIAL_LIMIT):
-            if p * p > n:
-                break
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        stack = [n] if n > 1 else []
-        rng = random.Random(n)
-        while stack:
-            m = stack.pop()
-            if is_probable_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            g = _brent_rho(m, rng)
-            stack.extend((g, m // g))
-    elif n > 1:
-        out[n] = out.get(n, 0) + 1
+    # no prime <= min(sqrt(n), bound) is left, so any part below bound^2 is prime
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < bound * bound or is_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        g = _brent_rho(m, random.Random(m))
+        stack.extend((g, m // g))
     return tuple(sorted(out.items()))
 
 

@@ -64,16 +64,19 @@ def load_config(path: str | None) -> BoundConfig:
     bound_kwargs: dict = {}
     if path is not None:
         with _open(path, "r", "read config") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"expected `key = value`, got {line!r}", lineno)
-                key, _, value = (part.strip() for part in line.partition("="))
-                if key not in _BOUND_KEYS:
-                    raise UnknownKey(key)
-                bound_kwargs[key] = _parse_typed(key, value)
+            try:
+                for lineno, raw in enumerate(handle, start=1):
+                    line = raw.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    if "=" not in line:
+                        raise ParseError(f"expected `key = value`, got {line!r}", lineno)
+                    key, _, value = (part.strip() for part in line.partition("="))
+                    if key not in _BOUND_KEYS:
+                        raise UnknownKey(key)
+                    bound_kwargs[key] = _parse_typed(key, value)
+            except UnicodeDecodeError as exc:
+                raise BadParameter(f"cannot read config {path}: not UTF-8 text") from exc
     try:
         return BoundConfig(**bound_kwargs)
     except InputError as exc:

@@ -18,6 +18,9 @@ from abckit import (
     parse_field,
 )
 from abckit.arith import (
+    _factor_nat,
+    _is_strong_lucas_prp,
+    _is_strong_prp,
     first_primes,
     is_probable_prime,
     prime_ideals_in_norm_order,
@@ -150,6 +153,116 @@ class TestFactorInt:
                     assert r * r % p == a % p
                 else:
                     assert pow(a, (p - 1) // 2, p) == p - 1
+
+
+# Composites below 10^5 passing the strong base-2 test (OEIS A001262) and the
+# strong Lucas test with Selfridge's parameters (OEIS A217255)
+STRONG_BASE2_PSEUDOPRIMES = [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799,
+                             49141, 52633, 65281, 74665, 80581, 85489, 88357, 90751]
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                             40309, 58519, 75077, 97439]
+# the largest prime below 2^b is 2^b - offset
+PRIME_BELOW_POW2 = {65: 49, 128: 159, 256: 189, 512: 569, 1024: 105, 2048: 1557}
+
+
+def _chernick_carmichaels(count: int) -> list[int]:
+    """(6k+1)(12k+1)(18k+1) with all three factors prime, all above 2^64."""
+    out, k = [], 250_000
+    while len(out) < count:
+        k += 1
+        parts = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(sympy.isprime(p) for p in parts):
+            out.append(parts[0] * parts[1] * parts[2])
+    return out
+
+
+class TestBailliePSW:
+    def test_known_pseudoprimes_fail_the_other_half(self):
+        for n in STRONG_BASE2_PSEUDOPRIMES:
+            assert _is_strong_prp(n, 2) and not _is_strong_lucas_prp(n)
+        for n in STRONG_LUCAS_PSEUDOPRIMES:
+            assert _is_strong_lucas_prp(n) and not _is_strong_prp(n, 2)
+        for n in STRONG_BASE2_PSEUDOPRIMES + STRONG_LUCAS_PSEUDOPRIMES:
+            assert not is_probable_prime(n) and not sympy.isprime(n)
+
+    def test_primes_above_2_64(self):
+        big = [2**b - off for b, off in PRIME_BELOW_POW2.items()]
+        big += [2**89 - 1, 2**127 - 1, 2**521 - 1, 2**607 - 1]
+        for p in big:
+            assert sympy.isprime(p)
+            assert is_probable_prime(p) and _is_strong_lucas_prp(p)
+
+    def test_random_odd_numbers_against_sympy(self, rng):
+        for bits in (65, 66, 80, 100, 128, 200, 256, 512, 1024, 2048):
+            count = 40 if bits <= 256 else 10
+            for _ in range(count):
+                n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+                assert is_probable_prime(n) == sympy.isprime(n), n
+
+    def test_composites_built_from_primes(self, rng):
+        primes = [2**b - off for b, off in PRIME_BELOW_POW2.items()][:4]
+        primes += [sympy.prevprime(rng.randrange(2**33, 2**40)) for _ in range(20)]
+        for i, p in enumerate(primes):
+            # no D has (D/p^2) = -1, so squares must be caught before the D search
+            assert not _is_strong_lucas_prp(p * p)
+            for n in (p * p, p * primes[i - 1], p**3):
+                if n >= 1 << 64:
+                    assert not is_probable_prime(n) and not sympy.isprime(n)
+
+    def test_chernick_carmichael_numbers(self):
+        numbers = _chernick_carmichaels(40)
+        assert all(n > 1 << 64 for n in numbers)
+        # some pass the base-2 test, so only the Lucas half rejects them
+        assert any(_is_strong_prp(n, 2) for n in numbers)
+        for n in numbers:
+            assert not is_probable_prime(n) and not sympy.isprime(n)
+
+
+# numbers in [10^12, 10^25] built from planted primes beyond trial division
+BEYOND_TRIAL = st.integers(1010, 10**6).map(sympy.prevprime)  # primes in (10^3, 10^6]
+BEYOND_2_60 = st.integers(2**60 + 1000, 2**70).map(sympy.prevprime)
+
+
+@st.composite
+def planted_numbers(draw) -> int:
+    n = draw(st.integers(1, 1000))
+    if draw(st.booleans()):
+        n *= draw(BEYOND_2_60)
+    for p, k in draw(st.lists(st.tuples(BEYOND_TRIAL, st.integers(1, 6)), max_size=3)):
+        while k and n * p**k > 10**25:
+            k -= 1
+        n *= p**k
+    while n < 10**12:
+        n *= draw(BEYOND_TRIAL)
+    return n
+
+
+def _planted_cases(rng: random.Random) -> list[int]:
+    cases = [999983 * 1000003, (10**9 + 7) * (10**9 + 9),
+             sympy.prevprime(10**9) * sympy.nextprime(10**9),
+             9973**6, 1009**6 * 999983, 999983**2 * 1000003, 2**20 * 999983**3]
+    while len(cases) < 80:
+        n = rng.choice([1, 2, 6, 30, 997, rng.randint(1, 1000)])
+        for _ in range(rng.randint(1, 3)):
+            n *= sympy.prevprime(rng.randint(1010, 10**6)) ** rng.choice([1, 1, 2, 3, 6])
+        if rng.random() < 0.5:
+            n *= sympy.prevprime(rng.randint(2**60 + 1000, 2**70))
+        if 10**12 <= n <= 10**25:
+            cases.append(n)
+    return cases
+
+
+class TestFactorDifferential:
+    """_factor_nat against sympy.factorint beyond the 10^12 random oracle."""
+
+    def test_planted_factors(self, rng):
+        for n in _planted_cases(rng):
+            assert dict(_factor_nat(n)) == sympy.factorint(n), n
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=planted_numbers())
+    def test_planted_factors_hypothesis(self, n):
+        assert dict(_factor_nat(n)) == sympy.factorint(n)
 
 
 class TestFactorQuad:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abckit.cli import dispatch, fmt, load_config, read_csv, write_csv
-from abckit.errors import BadValue, ParseError, UnknownKey
+from abckit.errors import BadParameter, BadValue, ParseError, UnknownKey
 
 
 def run(capsys, args):
@@ -246,6 +246,15 @@ class TestConfigFiles:
         code, out, err = run(capsys, SML_FLAGSHIP + ["--config", path])
         assert code == 1 and out == ""
         assert f"input error: cannot read config {path}: No such file or directory" in err
+
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"C_main = 1\n\xff\xfe\n")
+        with pytest.raises(BadParameter):
+            load_config(os.fspath(path))
+        code, out, err = run(capsys, SML_FLAGSHIP + ["--config", os.fspath(path)])
+        assert code == 1 and out == ""
+        assert f"input error: cannot read config {path}: not UTF-8 text" in err
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "run.cfg"

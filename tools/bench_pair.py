@@ -1,0 +1,188 @@
+"""Benchmark a parent commit against the working tree, in alternating pairs.
+
+    python3 tools/bench_pair.py --topic NAME [--parent REV] [--seeds N]
+
+Run from the root of an abckit checkout.  The parent commit (default HEAD)
+is exported with ``git archive`` into a temporary directory (honouring
+TMPDIR); the working tree is benchmarked as it stands, uncommitted edits
+included.  For each workload in BENCHMARK.json and each seed 101, 102,
+..., 100+N the script runs ``bench/run.py --trace 0`` once on each side, the
+parent first on even pairs and the change first on odd ones, for the run
+length BENCHMARK.json fixes.  Each per-layer probe in PROBES runs the same
+way, N times a side, each time in a fresh process.
+
+It writes ``BENCH_<topic>.json``: for each workload and end-to-end metric,
+both sides' runs, median and quartiles (IQR = q3 - q1) and the number of
+pairs the change won (ties count for neither), the failed and attempted
+operation counts, the same for each probe, and the environment (Python,
+``mpmath.libmp.BACKEND``, nproc, CPU).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIRST_SEED = 101
+
+# Per-layer probes: code run in a fresh process inside a checkout, with its
+# src/ and bench/ importable and `time` imported; it sets `seconds` and may
+# set `work`.  Like a bench job, each probe first factors a semiprime no
+# input contains, so set-up (the lazy prime sieve) stays outside the timing.
+PROBES = {
+    "arith.factor_nat.quad_norms_seed1_s": (
+        "factor the distinct |N(a)|, |N(b)|, |N(c)| of quad_reports seed 1 "
+        "with cold lru_caches",
+        """
+from abckit import arith
+from generators import load_reference, sample_quads
+from workloads import QuadReports
+batch = sample_quads(load_reference("quad_reports")["catalogue"], 1)
+norms = sorted({abs(v.norm()) if v.field.degree == 2 else abs(v.x)
+                for triple in QuadReports.elements(batch) for v in triple})
+arith.factor_int(999983 * 1000003)
+arith._factor_nat.cache_clear()
+t0 = time.perf_counter()
+for n in norms:
+    arith._factor_nat(n)
+seconds = time.perf_counter() - t0
+work = len(norms)
+"""),
+    "arith.is_probable_prime_2048_s": (
+        "decide the 2048-bit prime 2^2048 - 1557",
+        """
+from abckit import arith
+t0 = time.perf_counter()
+assert arith.is_probable_prime(2**2048 - 1557)
+seconds = time.perf_counter() - t0
+work = 1
+"""),
+}
+
+PROBE_MAIN = """
+import json, sys, time
+sys.path[:0] = ["src", "bench"]
+{code}
+print(json.dumps({{"seconds": seconds, "work": work}}))
+"""
+
+
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def _compare(parent: list[float], change: list[float], better: str) -> dict:
+    wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+    return {"parent": _summary(parent), "change": _summary(change),
+            "change_wins": wins, "pairs": len(parent)}
+
+
+def _run(cmd: list[str], cwd: str) -> str:
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed in {cwd}:\n{proc.stderr}")
+    return proc.stdout
+
+
+def _bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    out = _run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+                "--seconds", str(seconds), "--trace", "0"], tree)
+    return json.loads(out.splitlines()[-1])
+
+
+def _probe(tree: str, name: str) -> dict:
+    code = PROBE_MAIN.format(code=PROBES[name][1])
+    return json.loads(_run([sys.executable, "-c", code], tree).splitlines()[-1])
+
+
+def _pairs(trees: dict[str, str], n: int, measure) -> dict[str, list]:
+    """measure(tree, i) for i < n on both sides, alternating which goes first."""
+    runs: dict[str, list] = {"parent": [], "change": []}
+    for i in range(n):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(measure(trees[side], i))
+            print(f"  pair {i + 1}/{n} {side}: {json.dumps(runs[side][-1])[:160]}",
+                  file=sys.stderr, flush=True)
+    return runs
+
+
+def _environment(parent: str) -> dict:
+    import mpmath.libmp
+
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    head = _run(["git", "rev-parse", "HEAD"], ROOT).strip()
+    dirty = bool(_run(["git", "status", "--porcelain", "--untracked-files=no"], ROOT).strip())
+    return {"python": platform.python_version(), "mpmath_backend": mpmath.libmp.BACKEND,
+            "nproc": os.cpu_count(), "cpu": cpu, "parent": parent,
+            "change": head + (" + uncommitted edits" if dirty else "")}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--topic", required=True)
+    parser.add_argument("--parent", default="HEAD")
+    parser.add_argument("--seeds", type=int, default=10)
+    args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    parent = _run(["git", "rev-parse", args.parent], ROOT).strip()
+    seeds = list(range(FIRST_SEED, FIRST_SEED + args.seeds))
+    result = {"topic": args.topic, "environment": _environment(parent),
+              "command": "bench/run.py --trace 0", "seconds": spec["run_seconds"],
+              "seeds": seeds, "order": "parent first on even pairs, change first on odd",
+              "end_to_end": {}, "per_layer": {}}
+
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+        archive = subprocess.run(["git", "archive", parent], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        trees = {"parent": tmp, "change": ROOT}
+        for name in (w["name"] for w in spec["workloads"]):
+            print(f"workload {name}", file=sys.stderr, flush=True)
+            runs = _pairs(trees, len(seeds),
+                          lambda tree, i: _bench(tree, name, seeds[i], spec["run_seconds"]))
+            row = {m["name"]: {"unit": m["unit"], "bound": m["bound"],
+                               **_compare([r["metrics"][m["name"]]["value"] for r in runs["parent"]],
+                                          [r["metrics"][m["name"]]["value"] for r in runs["change"]],
+                                          m["better"])}
+                   for m in spec["end_to_end"]}
+            row["operations"] = {side: {"attempted": sum(r["attempted"] for r in rs),
+                                        "failed": sum(r["failed"] for r in rs)}
+                                 for side, rs in runs.items()}
+            result["end_to_end"][name] = row
+        for name in PROBES:
+            print(f"layer {name}", file=sys.stderr, flush=True)
+            runs = _pairs(trees, len(seeds), lambda tree, i: _probe(tree, name))
+            result["per_layer"][name] = {
+                "what": PROBES[name][0], "unit": "s", "work": runs["change"][0]["work"],
+                **_compare([r["seconds"] for r in runs["parent"]],
+                           [r["seconds"] for r in runs["change"]], "lower")}
+
+    path = os.path.join(ROOT, f"BENCH_{args.topic}.json")
+    with open(path, "w") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
