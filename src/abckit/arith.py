@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import BadParameter, ParseError, UnsupportedField, ZeroInput
+from .errors import BadParameter, FactoringLimit, ParseError, UnsupportedField, ZeroInput
 
 
 class AbckitInternal(AssertionError):
@@ -420,13 +420,29 @@ def is_probable_prime(n: int) -> bool:
     return _is_strong_prp(n, 2) and _is_strong_lucas_prp(n)
 
 
+# Squarings rho may spend on one composite, over all its restarts.  The most
+# any norm of the benchmark's quad_reports catalogue needs is 408,830 (for
+# 22729236581 * 139436804893); the cap is 20 times that.
+_RHO_STEP_CAP = 1 << 23
+
+
 def _brent_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of odd composite n (Brent's cycle variant)."""
+    """A nontrivial factor of odd composite n (Brent's cycle variant).
+
+    Raises FactoringLimit rather than start a doubling round that would take
+    the squarings, counted across restarts, past _RHO_STEP_CAP.
+    """
+    steps = 0
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g, r, q = 1, 1, 1
         x = ys = y
         while g == 1:
+            if steps + 2 * r > _RHO_STEP_CAP:
+                raise FactoringLimit(
+                    f"rho found no factor of the {n.bit_length()}-bit composite {n} "
+                    f"in {steps} steps; its prime factors are too large"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -438,12 +454,14 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += m
+            steps += r + min(k, r)
             r <<= 1
         if g == n:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
+                steps += 1
         if g != n:
             return g
 
@@ -456,6 +474,14 @@ def _factor_nat(n: int) -> tuple[tuple[int, int], ...]:
     cofactor then goes to Pollard-Brent rho, which finds a factor p in about
     sqrt(p) steps.  A part below 1000^2 is prime by the trial division, and
     a larger part is checked by `is_probable_prime`.
+
+    Rho stops after _RHO_STEP_CAP = 2^23 squarings.  On 40 random semiprimes
+    it needed 0.8 to 4.5 sqrt(p) steps (median 2) for the smaller factor p.
+    A composite part with a prime factor below 2^36 (about 6.9e10) therefore
+    splits with room to spare: 4.5 * 2^18 steps is a seventh of the cap.  A
+    part whose prime factors all exceed about 2^46 (7e13) needs more than the
+    cap in most cases (2 * 2^23 steps at the median) and raises
+    FactoringLimit, exit 1 in the CLI, after about 6 s on a 2-vCPU Xeon.
     """
     out: dict[int, int] = {}
     if n <= 1:

@@ -139,9 +139,75 @@ def _log_base(sel: Selectors, theorem: int) -> float:
     raise BadParameter("theorem must be 1, 2 or 3")
 
 
+# Float64 filter (Shewchuk, "Adaptive Precision Floating-Point Arithmetic and
+# Fast Robust Geometric Predicates", DCG 1997): a decision is taken in float
+# only when it is outside a proven bound on the float path's distance from
+# the mpmath one; every other case goes to the mpmath code.
+_ERR_UNIT = 2.0**-48  # 32 units of roundoff u = 2^-53
+_EXP_MAX = 700.0  # math.exp overflows past 709.78
+
+
+def _float_kappa(G: int, config: BoundConfig) -> tuple[float, float]:
+    """(log G, kappa) in float64, kappa = logloglog G / loglog G plus the
+    lower-order terms with ``full_exponent``; for G > e^e only."""
+    log_g = math.log(G)
+    llg = math.log(log_g)
+    kappa = math.log(llg) / llg
+    if config.full_exponent:
+        kappa += 1 / llg + llg / log_g
+    return log_g, kappa
+
+
 def _theorem_report(theorem: int, triple: AbcTriple, config: BoundConfig) -> BoundReport:
+    """Theorem 1, 2 or 3's report, from float64 when the error bound certifies
+    ``holds``, else from `_theorem_report_mp`.
+
+    Error bound.  Let u = 2^-53, l = log G, C = C_main, b the float log base
+    (the same float in both paths), and assume math.log and math.exp are
+    within 1 ulp (2u relative) and mpmath's log and exp within 1 ulp at
+    precision_bits >= 64.  For G > e^e, loglog G > 1, so the float kappa is
+    within 8.1u of the true value (21.1u with ``full_exponent``; kappa < 2),
+    the float exponent x = b + C kappa l within u(|b| + 36 C l) of the true
+    one, and rhs = exp(x) within a relative u(|b| + 36 C l) + 2u.  The
+    mpmath report rounds C kappa to float and its results to float, so its
+    rhs lies within a relative 4.1 u C l + 1.01 u of the true one, and its
+    lhs within u log H + 2^-63 log H.  Summing both sides and multiplying by
+    32 for second-order terms and slack in the libm assumption:
+
+        |lhs - lhs_mp|  <= E_l = 2^-48 (lhs + 1)
+        |rhs - rhs_mp|  <= E_r = 2^-48 rhs (|b| + (1 + 40 C) l + 4)
+        |weak - weak_mp| <= 2^-48 weak ((1 + 40 C) l + 4)
+        |margin - margin_mp| <= E_l + E_r
+
+    (the lone l covers the rounding of 1/3 in the weak form).  When
+    |margin| > E_l + E_r both paths' margins have the float one's sign, so
+    ``holds`` agrees.  The mpmath report is returned instead when |margin| is
+    within that bound, when G <= max(G_min, e^e), when an exponent exceeds
+    _EXP_MAX and for a non-finite value.
+    """
+    G, C = triple.G, config.C_main
+    if G <= max(config.G_min, E_SQUARED_GUARD):
+        return _theorem_report_mp(theorem, triple, config)
+    log_base = _log_base(triple.height_selectors, theorem)
+    lhs = math.log(triple_height(triple))
+    log_g, kappa = _float_kappa(G, config)
+    term = C * kappa
+    x = log_base + term * log_g
+    x_weak = (1 / 3 + term) * log_g if theorem == 3 else 0.0
+    if max(x, x_weak) < _EXP_MAX:
+        rhs = math.exp(x)
+        margin = rhs - lhs
+        err = _ERR_UNIT * (lhs + 1 + rhs * (log_base + (1 + 40 * C) * log_g + 4))
+        if abs(margin) > err:
+            weak = math.exp(x_weak) if theorem == 3 else None
+            return _report(f"thm{theorem}", lhs, rhs, term, "normal", weak_rhs=weak)
+    return _theorem_report_mp(theorem, triple, config)
+
+
+def _theorem_report_mp(theorem: int, triple: AbcTriple, config: BoundConfig) -> BoundReport:
     """log H against rhs = exp(log base + term * log G), selectors taken in
-    height order; theorem 3 also reports its weak form G^(1/3 + term)."""
+    height order; theorem 3 also reports its weak form G^(1/3 + term).  All in
+    mpmath at ``precision_bits``: the fallback and oracle of `_theorem_report`."""
     lhs = _log_height(triple, config)
     term = exponent_term(triple.G, config.C_main, config)
     with mp.workprec(config.precision_bits):
@@ -441,6 +507,38 @@ def lefourn_sunit_bound(h_alpha: float, h_beta: float, degree: int, t: int,
 # Calibration of the leading constant from data
 
 
+def _calibration_rows(triples, tol: float) -> list[AbcTriple]:
+    if not 0 < tol < math.inf:
+        raise BadParameter(f"tol must be positive and finite, got {tol}")
+    triples = list(triples)
+    if not triples:
+        raise EmptyDataset("calibration needs at least one triple")
+    return triples
+
+
+def _needed_C_mp(triple: AbcTriple, theorem: int, config: BoundConfig) -> float | None:
+    """One row of `_empirical_min_C_mp`: None when log H <= base, else C_row."""
+    log_base = _log_base(triple.height_selectors, theorem)
+    _check_radical(triple.G)
+    lhs = _log_height(triple, config)
+    if lhs <= math.exp(log_base):
+        return None
+    kappa_log_g = exponent_term(triple.G, 1.0, config) * math.log(triple.G)
+    if kappa_log_g <= 0:
+        raise BadParameter(
+            "a small-radical triple violates its bound at every C; no finite C exists"
+        )
+    return (math.log(lhs) - log_base) / kappa_log_g
+
+
+def _empirical_min_C_mp(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
+                        tol: float = 1e-6) -> float:
+    """`empirical_min_C` with every row in mpmath: its fallback and oracle."""
+    needed = [c for c in (_needed_C_mp(t, theorem, config)
+                          for t in _calibration_rows(triples, tol)) if c is not None]
+    return max(needed) + tol / 2 if needed else 0.0
+
+
 def empirical_min_C(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
                     tol: float = 1e-6) -> float:
     """Smallest C_main making the chosen theorem's inequality hold on every
@@ -453,23 +551,49 @@ def empirical_min_C(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
     outward rounding keeps the theorem's report holding at the returned C.
     Being a max plus a constant, it does not depend on how the dataset is
     partitioned.
+
+    The rows are filtered in float64 and the result is bit-identical to
+    `_empirical_min_C_mp`, errors included.  With u = 2^-53 and the
+    assumptions of `_theorem_report`, the float log H is within
+    E_l = 2^-48 (log H + 1) of the mpmath one, so a row is sent to the
+    mpmath code when |log H - base| <= E_l.  For a row that needs C, with
+    n = log log H - log base and d = kappa log G, the float n is within
+    4u log log H + 4.02u + 2u n of the mpmath one and d within 27.2u log G
+    (kappa >= 0.019 for G >= 16, so d is never near 0), hence
+
+        |C_row - C_row_mp| <= E_C = 2^-48 ((5 + 4 log log H + 2n
+                                             + 32 C_row log G) / d + 2 C_row).
+
+    Only rows with C_row + E_C >= max(C_row - E_C) can hold the mpmath
+    maximum; those are recomputed in mpmath and their maximum is the
+    oracle's.  Rows with G <= max(G_min, e^e) always take the mpmath row.
     """
-    if not 0 < tol < math.inf:
-        raise BadParameter(f"tol must be positive and finite, got {tol}")
-    triples = list(triples)
-    if not triples:
-        raise EmptyDataset("calibration needs at least one triple")
-    needed = []
+    triples = _calibration_rows(triples, tol)
+    floor = -math.inf  # the largest certain lower bound on any C_row
+    exact: list[float] = []  # C_row of rows computed in mpmath
+    approx: list[tuple[float, float, AbcTriple]] = []  # float (C_row, E_C, triple)
     for triple in triples:
         log_base = _log_base(triple.height_selectors, theorem)
         _check_radical(triple.G)
-        lhs = _log_height(triple, config)
-        if lhs <= math.exp(log_base):
+        lhs = math.log(triple_height(triple))
+        base = math.exp(log_base)
+        err_l = _ERR_UNIT * (lhs + 1)
+        if lhs < base - err_l:
             continue
-        kappa_log_g = exponent_term(triple.G, 1.0, config) * math.log(triple.G)
-        if kappa_log_g <= 0:
-            raise BadParameter(
-                "a small-radical triple violates its bound at every C; no finite C exists"
-            )
-        needed.append((math.log(lhs) - log_base) / kappa_log_g)
-    return max(needed) + tol / 2 if needed else 0.0
+        if lhs <= base + err_l or triple.G <= max(config.G_min, E_SQUARED_GUARD):
+            c_row = _needed_C_mp(triple, theorem, config)
+            if c_row is not None:
+                exact.append(c_row)
+                floor = max(floor, c_row)
+            continue
+        log_g, kappa = _float_kappa(triple.G, config)
+        d = kappa * log_g
+        log_lhs = math.log(lhs)
+        n = log_lhs - log_base
+        c_row = n / d
+        err_c = _ERR_UNIT * ((5 + 4 * log_lhs + 2 * n + 32 * c_row * log_g) / d + 2 * c_row)
+        approx.append((c_row, err_c, triple))
+        floor = max(floor, c_row - err_c)
+    exact.extend(_needed_C_mp(triple, theorem, config)
+                 for c_row, err_c, triple in approx if c_row + err_c >= floor)
+    return max(exact) + tol / 2 if exact else 0.0

@@ -66,6 +66,10 @@ class EmptyDataset(InputError):
     pass
 
 
+class FactoringLimit(InputError):
+    """A composite has no prime factor small enough for Pollard-Brent rho's step cap."""
+
+
 class RepeatedRoots(InputError):
     pass
 

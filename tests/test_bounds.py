@@ -1,8 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abckit import (
     RATIONALS,
@@ -14,6 +17,7 @@ from abckit import (
     gyory_sunit_bound,
     landau_min_constant,
     lefourn_sunit_bound,
+    enumerate_primitive_triples,
     make_triple,
     thm1_rhs,
     thm2_rhs,
@@ -22,11 +26,16 @@ from abckit import (
     yu_ord_bound,
 )
 from abckit.arith import prime_ideals_in_norm_order
+from abckit import bounds
 from abckit.bounds import (
     BoundConfig,
     DEFAULT_CONFIG,
+    E_SQUARED_GUARD,
+    _empirical_min_C_mp,
     _log_base,
     _log_height,
+    _theorem_report,
+    _theorem_report_mp,
 )
 from abckit.errors import (
     BadAlpha,
@@ -37,6 +46,7 @@ from abckit.errors import (
     NotApplicable,
 )
 
+from conftest import ALL_FIELDS
 from test_radical import random_triple
 
 Q = RATIONALS
@@ -535,3 +545,179 @@ class TestCalibrationAgainstBisection:
                 assert not all(report(t, below).holds for t in dataset)
         if theorem == 3:
             assert positive  # the minimality check ran
+
+
+# ---------------------------------------------------------------------------
+# The float64 report and calibrator against their mpmath oracles
+
+
+ERR_UNIT = 2.0**-48  # the error bounds documented in bounds._theorem_report
+
+
+def documented_errors(report, triple, theorem, config):
+    """(E_l, E_r, E_weak) of `_theorem_report`'s docstring, at the float report."""
+    spread = (1 + 40 * config.C_main) * math.log(triple.G) + 4
+    e_l = ERR_UNIT * (report.lhs + 1)
+    e_r = ERR_UNIT * report.rhs * (abs(_log_base(triple.height_selectors, theorem)) + spread)
+    e_w = ERR_UNIT * report.weak_rhs * spread if theorem == 3 else 0.0
+    return e_l, e_r, e_w
+
+
+def float_exponent_parts(triple, theorem):
+    """(log H, log base, kappa * log G), each in float64, kappa at C = 1."""
+    log_g = math.log(triple.G)
+    llg = math.log(log_g)
+    return (math.log(max(abs(v.norm()) for v in triple.coordinates())),
+            _log_base(triple.height_selectors, theorem), math.log(llg) / llg * log_g)
+
+
+def planted_row(abc, fraction):
+    """The triple and the config at which its float theorem 2 rhs sits
+    `fraction` of the documented bound E_l + E_r above its lhs."""
+    triple = make_triple(*abc)
+    lhs, log_base, kappa_log_g = float_exponent_parts(triple, 2)
+    assert lhs > math.exp(log_base) and triple.G > E_SQUARED_GUARD
+    at_zero = DEFAULT_CONFIG.with_C((math.log(lhs) - log_base) / kappa_log_g)
+    e_l, e_r, _ = documented_errors(_theorem_report_mp(2, triple, at_zero), triple, 2,
+                                    at_zero)
+    C = (math.log(lhs + fraction * (e_l + e_r)) - log_base) / kappa_log_g
+    return triple, DEFAULT_CONFIG.with_C(C)
+
+
+@pytest.fixture
+def mp_fallbacks(monkeypatch):
+    """Counts calls of the mpmath report made by the float one."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _theorem_report_mp(*args)
+
+    monkeypatch.setattr(bounds, "_theorem_report_mp", spy)
+    return calls
+
+
+class TestFloatReportAgainstMpmath:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32), field=st.sampled_from(ALL_FIELDS),
+           size=st.sampled_from((30, 10**3, 10**6, 10**9)), C=st.floats(0, 5),
+           full=st.booleans())
+    def test_holds_identical_and_values_within_bound(self, seed, field, size, C, full):
+        triple = random_triple(random.Random(seed), field, size)
+        config = replace(DEFAULT_CONFIG, C_main=C, full_exponent=full)
+        for theorem in (1, 2, 3):
+            if triple.G < 2:  # all units
+                with pytest.raises(BadRadical):
+                    _theorem_report_mp(theorem, triple, config)
+                with pytest.raises(BadRadical):
+                    _theorem_report(theorem, triple, config)
+                continue
+            got = _theorem_report(theorem, triple, config)
+            want = _theorem_report_mp(theorem, triple, config)
+            assert got.holds == want.holds
+            assert (got.theorem, got.regime) == (want.theorem, want.regime)
+            e_l, e_r, e_w = documented_errors(got, triple, theorem, config)
+            assert abs(got.lhs - want.lhs) <= e_l
+            assert abs(got.rhs - want.rhs) <= e_r
+            assert abs(got.margin - want.margin) <= e_l + e_r
+            if theorem == 3:
+                assert abs(got.weak_rhs - want.weak_rhs) <= e_w
+            else:
+                assert got.weak_rhs is want.weak_rhs is None
+
+    @pytest.mark.parametrize("abc", [(3, 125, -128), (5, 27, -32), (13, 243, -256),
+                                     (1, 4095, -4096), (47, 81, -128)])
+    @pytest.mark.parametrize("fraction", [-1 / 2, -1 / 8, -1 / 64, 0.0, 1 / 64, 1 / 8, 1 / 2])
+    def test_planted_boundary_rows_take_the_fallback(self, abc, fraction, mp_fallbacks):
+        triple, config = planted_row(abc, fraction)
+        assert thm2_rhs(triple, config) == _theorem_report_mp(2, triple, config)
+        assert len(mp_fallbacks) == 1
+
+    @pytest.mark.parametrize("abc", [(3, 125, -128), (1, 4095, -4096)])
+    @pytest.mark.parametrize("fraction", [-4.0, 4.0])
+    def test_rows_outside_the_bound_stay_in_float(self, abc, fraction, mp_fallbacks):
+        triple, config = planted_row(abc, fraction)
+        report = thm2_rhs(triple, config)
+        assert not mp_fallbacks
+        assert report.holds == (fraction > 0) == _theorem_report_mp(2, triple, config).holds
+
+    @pytest.mark.parametrize("theorem", [1, 2, 3])
+    def test_exponent_past_float_range_takes_the_fallback(self, theorem, mp_fallbacks):
+        triple = make_triple(3, 125, -128)
+        config = DEFAULT_CONFIG.with_C(2000.0)
+        _, log_base, kappa_log_g = float_exponent_parts(triple, theorem)
+        assert log_base + config.C_main * kappa_log_g > 709.8  # math.exp would overflow
+        report = _theorem_report(theorem, triple, config)
+        assert report == _theorem_report_mp(theorem, triple, config)
+        assert len(mp_fallbacks) == 1
+        assert report.holds and not math.isnan(report.margin)
+
+    def test_small_radical_rows_take_the_fallback(self, mp_fallbacks):
+        for abc in [(1, 8, -9), (1, 2, -3), (1, 4, -5)]:
+            triple = make_triple(*abc)
+            assert triple.G <= DEFAULT_CONFIG.G_min
+            assert thm3_rhs(triple) == _theorem_report_mp(3, triple, DEFAULT_CONFIG)
+        assert len(mp_fallbacks) == 3
+
+
+@pytest.fixture(scope="module")
+def primitive_300():
+    return enumerate_primitive_triples(300)
+
+
+class TestCalibrationFloatFilter:
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("theorem", [1, 2, 3])
+    def test_bit_identical_at_height_300(self, primitive_300, theorem, full):
+        dataset = primitive_300
+        if theorem == 3:
+            dataset = [t for t in dataset if t.G > DEFAULT_CONFIG.G_min]
+        config = replace(DEFAULT_CONFIG, full_exponent=full)
+        assert (empirical_min_C(dataset, theorem, config)
+                == _empirical_min_C_mp(dataset, theorem, config))
+
+    def test_bit_identical_at_higher_precision(self, primitive_300):
+        config = replace(DEFAULT_CONFIG, precision_bits=200)
+        assert (empirical_min_C(primitive_300, 2, config)
+                == _empirical_min_C_mp(primitive_300, 2, config) > 0)
+
+    @pytest.mark.parametrize("d", [None, -1, -7])
+    @pytest.mark.parametrize("theorem", [1, 2, 3])
+    def test_bit_identical_on_the_bisection_datasets(self, d, theorem):
+        # the datasets of TestCalibrationAgainstBisection
+        field = Q if d is None else QuadraticField(d)
+        for seed in range(4):
+            rng = random.Random(seed)
+            dataset = [random_triple(rng, field, rng.choice((30, 100, 1000)))
+                       for _ in range(60)]
+            if theorem == 3:
+                dataset = [t for t in dataset if t.G > DEFAULT_CONFIG.G_min]
+            for tol in (1e-6, 1e-12):
+                assert (empirical_min_C(dataset, theorem, tol=tol)
+                        == _empirical_min_C_mp(dataset, theorem, tol=tol))
+
+    @pytest.mark.parametrize("args", [
+        ([], 2, {}),
+        ([make_triple(3, 125, -128)], 2, {"tol": 0.0}),
+        ([make_triple(3, 125, -128)], 2, {"tol": math.nan}),
+        ([make_triple(3, 125, -128)], 4, {}),
+        ("small-radical", 3, {}),
+        ("units-after-small-radical", 3, {}),
+        ("units", 2, {}),
+    ])
+    def test_errors_identical(self, args):
+        dataset, theorem, kwargs = args
+        field = QuadraticField(-3)
+        units = make_triple(AlgebraicInt(field, 1), AlgebraicInt(field, -1, 1),
+                            AlgebraicInt(field, 0, -1), field)
+        if dataset == "small-radical":
+            dataset = enumerate_primitive_triples(120)
+        elif dataset == "units-after-small-radical":
+            dataset = enumerate_primitive_triples(120) + [units]
+        elif dataset == "units":
+            dataset = [make_triple(3, 125, -128), units]
+        with pytest.raises(Exception) as want:
+            _empirical_min_C_mp(dataset, theorem, **kwargs)
+        with pytest.raises(type(want.value)) as got:
+            empirical_min_C(dataset, theorem, **kwargs)
+        assert str(got.value) == str(want.value)

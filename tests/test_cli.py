@@ -285,6 +285,14 @@ class TestFormatting:
         assert fmt(Fraction(9, 2)) == "9/2"
 
 
+def test_factor_beyond_the_rho_cap_is_an_input_error(capsys):
+    # (2^61 - 1)(2^64 - 59): both prime factors are far past rho's step cap
+    code, out, err = run(capsys, ["factor", "--field", "Q", "--element",
+                                  "42535295865117307778430344311653531707"])
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_module_entry_point():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 import sympy
 
@@ -5,6 +7,7 @@ from abckit import (
     AlgebraicInt,
     RATIONALS,
     QuadraticField,
+    enumerate_primitive_triples,
     factor_element,
     make_triple,
     projective_height,
@@ -143,3 +146,12 @@ class TestOrdHeightLemma:
             radical = fac.radical()
             assert abs(a.norm()) <= radical ** fac.max_exponent()
             checked += 1
+
+
+class TestEnumeratePrimitiveTriples:
+    def test_equals_make_triple_up_to_200(self):
+        oracle = [make_triple(x, z - x, -z) for z in range(2, 201)
+                  for x in range(1, z // 2 + 1) if gcd(x, z) == 1]
+        for H in (2, 3, 4, 5, 6, 7, 8, 30, 97, 128, 199, 200):
+            count = sum(-t.c.x <= H for t in oracle)
+            assert enumerate_primitive_triples(H) == oracle[:count]

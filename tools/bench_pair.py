@@ -64,6 +64,35 @@ assert arith.is_probable_prime(2**2048 - 1557)
 seconds = time.perf_counter() - t0
 work = 1
 """),
+    "radical.enumerate_primitive_triples_1000_s": (
+        "build every primitive triple with H <= 1000",
+        """
+from abckit import enumerate_primitive_triples
+t0 = time.perf_counter()
+work = len(enumerate_primitive_triples(1000))
+seconds = time.perf_counter() - t0
+"""),
+    "bounds.empirical_min_C_1000_s": (
+        "calibrate theorem 2's C over every primitive triple with H <= 1000",
+        """
+from abckit import empirical_min_C, enumerate_primitive_triples
+triples = enumerate_primitive_triples(1000)
+t0 = time.perf_counter()
+assert empirical_min_C(triples, 2) == 0.41127528566033666
+seconds = time.perf_counter() - t0
+work = len(triples)
+"""),
+    "bounds.thm2_rhs_1000_s": (
+        "thm2_rhs at the calibrated C on every primitive triple with H <= 1000",
+        """
+from abckit import BoundConfig, enumerate_primitive_triples, thm2_rhs
+triples = enumerate_primitive_triples(1000)
+config = BoundConfig(C_main=0.41127528566033666)  # empirical_min_C(triples, 2)
+t0 = time.perf_counter()
+assert all(thm2_rhs(t, config).holds for t in triples)
+seconds = time.perf_counter() - t0
+work = len(triples)
+"""),
 }
 
 PROBE_MAIN = """
