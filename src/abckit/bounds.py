@@ -507,17 +507,9 @@ def lefourn_sunit_bound(h_alpha: float, h_beta: float, degree: int, t: int,
 # Calibration of the leading constant from data
 
 
-def _calibration_rows(triples, tol: float) -> list[AbcTriple]:
-    if not 0 < tol < math.inf:
-        raise BadParameter(f"tol must be positive and finite, got {tol}")
-    triples = list(triples)
-    if not triples:
-        raise EmptyDataset("calibration needs at least one triple")
-    return triples
-
-
 def _needed_C_mp(triple: AbcTriple, theorem: int, config: BoundConfig) -> float | None:
-    """One row of `_empirical_min_C_mp`: None when log H <= base, else C_row."""
+    """C_row of one triple in mpmath: None when log H <= base.  This is the
+    mpmath fallback of `empirical_min_C`."""
     log_base = _log_base(triple.height_selectors, theorem)
     _check_radical(triple.G)
     lhs = _log_height(triple, config)
@@ -529,14 +521,6 @@ def _needed_C_mp(triple: AbcTriple, theorem: int, config: BoundConfig) -> float 
             "a small-radical triple violates its bound at every C; no finite C exists"
         )
     return (math.log(lhs) - log_base) / kappa_log_g
-
-
-def _empirical_min_C_mp(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
-                        tol: float = 1e-6) -> float:
-    """`empirical_min_C` with every row in mpmath: its fallback and oracle."""
-    needed = [c for c in (_needed_C_mp(t, theorem, config)
-                          for t in _calibration_rows(triples, tol)) if c is not None]
-    return max(needed) + tol / 2 if needed else 0.0
 
 
 def empirical_min_C(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
@@ -552,10 +536,10 @@ def empirical_min_C(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
     Being a max plus a constant, it does not depend on how the dataset is
     partitioned.
 
-    The rows are filtered in float64 and the result is bit-identical to
-    `_empirical_min_C_mp`, errors included.  With u = 2^-53 and the
-    assumptions of `_theorem_report`, the float log H is within
-    E_l = 2^-48 (log H + 1) of the mpmath one, so a row is sent to the
+    The rows are filtered in float64, and the result is bit-identical to
+    taking every row in mpmath by `_needed_C_mp`, errors included.  With
+    u = 2^-53 and the assumptions of `_theorem_report`, the float log H is
+    within E_l = 2^-48 (log H + 1) of the mpmath one, so a row is sent to the
     mpmath code when |log H - base| <= E_l.  For a row that needs C, with
     n = log log H - log base and d = kappa log G, the float n is within
     4u log log H + 4.02u + 2u n of the mpmath one and d within 27.2u log G
@@ -566,9 +550,13 @@ def empirical_min_C(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
 
     Only rows with C_row + E_C >= max(C_row - E_C) can hold the mpmath
     maximum; those are recomputed in mpmath and their maximum is the
-    oracle's.  Rows with G <= max(G_min, e^e) always take the mpmath row.
+    all-mpmath one.  Rows with G <= max(G_min, e^e) always take the mpmath row.
     """
-    triples = _calibration_rows(triples, tol)
+    if not 0 < tol < math.inf:
+        raise BadParameter(f"tol must be positive and finite, got {tol}")
+    triples = list(triples)
+    if not triples:
+        raise EmptyDataset("calibration needs at least one triple")
     floor = -math.inf  # the largest certain lower bound on any C_row
     exact: list[float] = []  # C_row of rows computed in mpmath
     approx: list[tuple[float, float, AbcTriple]] = []  # float (C_row, E_C, triple)

@@ -7,12 +7,12 @@ from math import gcd
 
 from .arith import (
     AlgebraicInt,
-    FactorEntry,
     IdealFactorization,
     QuadraticField,
     RATIONALS,
     _entry_key,
     factor_element,
+    factor_int,
     ideal_coprime,
 )
 from .errors import (
@@ -139,24 +139,6 @@ def smoothness_S(triple: AbcTriple) -> int:
     return top
 
 
-def _smallest_prime_factors(n: int) -> list[int]:
-    """spf[k] for 0 <= k <= n (0 for k < 2), by the Gries-Misra linear sieve
-    (CACM 1978): each composite i * p is crossed off once, by its smallest
-    prime p <= spf[i]."""
-    spf = [0] * (n + 1)
-    primes: list[int] = []
-    for i in range(2, n + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            primes.append(i)
-        top = min(spf[i], n // i)
-        for p in primes:
-            if p > top:
-                break
-            spf[i * p] = p
-    return spf
-
-
 def enumerate_primitive_triples(H_limit: int) -> list[AbcTriple]:
     """Every primitive triple over Q with height at most H_limit.
 
@@ -164,42 +146,31 @@ def enumerate_primitive_triples(H_limit: int) -> list[AbcTriple]:
     gcd(X, Z) = 1; the projective height of such a triple is Z.
 
     Equal to ``make_triple(X, Z - X, -Z)`` for each, but every n <= H_limit
-    is factored once, from a smallest-prime-factor sieve, and its elements,
-    factorizations and selector inputs are shared by all triples using it.
-    Coprime X < Y < Z are already in height order, and over Q the norm
-    ordering of primes is the ordering of the primes themselves.
+    is factored once, and its element, factorization and selector inputs are
+    shared by all triples using it.  Coprime X < Y < Z are already in height
+    order, and over Q the norm ordering of primes is the ordering of the
+    primes themselves.
     """
     if H_limit < 2:
         raise BadParameter("H_limit must be at least 2")
-    spf = _smallest_prime_factors(H_limit)
-    entries: list[tuple[FactorEntry, ...]] = [()] * (H_limit + 1)
-    for n in range(2, H_limit + 1):
-        p = spf[n]
-        rest = entries[n // p]
-        if n == p:
-            entries[n] = (FactorEntry(AlgebraicInt(RATIONALS, p), 1, p),)
-        elif rest[0].norm == p:
-            entries[n] = (FactorEntry(rest[0].prime, rest[0].exponent + 1, p),) + rest[1:]
-        else:
-            entries[n] = entries[p] + rest
-    plus, minus = AlgebraicInt(RATIONALS, 1), AlgebraicInt(RATIONALS, -1)
+    # index 0 is a placeholder, never used
+    fac = [factor_int(1)] + [factor_int(n) for n in range(1, H_limit + 1)]
     element = [AlgebraicInt(RATIONALS, n) for n in range(H_limit + 1)]
-    fac = [IdealFactorization(RATIONALS, plus, e) for e in entries]
     radical = [f.radical() for f in fac]
     top = [f.max_norm() for f in fac]
     third = [_third_largest_norm(f) for f in fac]
-    descending = [tuple(e.norm for e in reversed(es)) for es in entries]
+    norms = [tuple(e.norm for e in f.entries) for f in fac]
     out = []
     for z in range(2, H_limit + 1):
         c = AlgebraicInt(RATIONALS, -z)
-        fc = IdealFactorization(RATIONALS, minus, entries[z])
-        dz, rad_z = descending[z], radical[z]
+        fc = factor_int(-z)
+        nz, rad_z = norms[z], radical[z]
         for x in range(1, z // 2 + 1):
             if gcd(x, z) != 1:
                 continue
             y = z - x
-            dyz = descending[y] + dz
-            n_q = sorted(dyz, reverse=True)[2] if len(dyz) >= 3 else 1
+            nyz = norms[y] + nz
+            n_q = sorted(nyz, reverse=True)[2] if len(nyz) >= 3 else 1
             sel = Selectors(top[x], top[y], top[z], third[z], n_q)
             fa, fb = fac[x], fac[y]
             out.append(AbcTriple(RATIONALS, element[x], element[y], c, fa, fb, fc,

@@ -31,9 +31,9 @@ from abckit.bounds import (
     BoundConfig,
     DEFAULT_CONFIG,
     E_SQUARED_GUARD,
-    _empirical_min_C_mp,
     _log_base,
     _log_height,
+    _needed_C_mp,
     _theorem_report,
     _theorem_report_mp,
 )
@@ -513,6 +513,19 @@ def bisection_min_c(lhs: float, base: float, kappa_log_g: float, tol: float) -> 
     return hi
 
 
+def empirical_min_c_mp(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
+                       tol: float = 1e-6) -> float:
+    """Reference: `empirical_min_C` with every row in mpmath."""
+    if not 0 < tol < math.inf:
+        raise BadParameter(f"tol must be positive and finite, got {tol}")
+    triples = list(triples)
+    if not triples:
+        raise EmptyDataset("calibration needs at least one triple")
+    needed = [c for c in (_needed_C_mp(t, theorem, config) for t in triples)
+              if c is not None]
+    return max(needed) + tol / 2 if needed else 0.0
+
+
 class TestCalibrationAgainstBisection:
     """The closed form against a per-triple bisection on the same rows."""
 
@@ -674,12 +687,12 @@ class TestCalibrationFloatFilter:
             dataset = [t for t in dataset if t.G > DEFAULT_CONFIG.G_min]
         config = replace(DEFAULT_CONFIG, full_exponent=full)
         assert (empirical_min_C(dataset, theorem, config)
-                == _empirical_min_C_mp(dataset, theorem, config))
+                == empirical_min_c_mp(dataset, theorem, config))
 
     def test_bit_identical_at_higher_precision(self, primitive_300):
         config = replace(DEFAULT_CONFIG, precision_bits=200)
         assert (empirical_min_C(primitive_300, 2, config)
-                == _empirical_min_C_mp(primitive_300, 2, config) > 0)
+                == empirical_min_c_mp(primitive_300, 2, config) > 0)
 
     @pytest.mark.parametrize("d", [None, -1, -7])
     @pytest.mark.parametrize("theorem", [1, 2, 3])
@@ -694,7 +707,7 @@ class TestCalibrationFloatFilter:
                 dataset = [t for t in dataset if t.G > DEFAULT_CONFIG.G_min]
             for tol in (1e-6, 1e-12):
                 assert (empirical_min_C(dataset, theorem, tol=tol)
-                        == _empirical_min_C_mp(dataset, theorem, tol=tol))
+                        == empirical_min_c_mp(dataset, theorem, tol=tol))
 
     @pytest.mark.parametrize("args", [
         ([], 2, {}),
@@ -717,7 +730,7 @@ class TestCalibrationFloatFilter:
         elif dataset == "units":
             dataset = [make_triple(3, 125, -128), units]
         with pytest.raises(Exception) as want:
-            _empirical_min_C_mp(dataset, theorem, **kwargs)
+            empirical_min_c_mp(dataset, theorem, **kwargs)
         with pytest.raises(type(want.value)) as got:
             empirical_min_C(dataset, theorem, **kwargs)
         assert str(got.value) == str(want.value)

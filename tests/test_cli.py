@@ -285,8 +285,10 @@ class TestFormatting:
         assert fmt(Fraction(9, 2)) == "9/2"
 
 
-def test_factor_beyond_the_rho_cap_is_an_input_error(capsys):
+def test_factor_beyond_the_rho_cap_is_an_input_error(capsys, monkeypatch):
     # (2^61 - 1)(2^64 - 59): both prime factors are far past rho's step cap
+    # of 2^23; a cap of 2^12 takes the same path in milliseconds
+    monkeypatch.setattr("abckit.arith._RHO_STEP_CAP", 1 << 12)
     code, out, err = run(capsys, ["factor", "--field", "Q", "--element",
                                   "42535295865117307778430344311653531707"])
     assert code == 1 and out == ""
