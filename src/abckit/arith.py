@@ -13,7 +13,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import BadParameter, FactoringLimit, ParseError, UnsupportedField, ZeroInput
 
@@ -24,7 +24,7 @@ class AbckitInternal(AssertionError):
 
 CLASS_NUMBER_ONE_D = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
-_MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +203,10 @@ class AlgebraicInt:
         self._check_same_field(other)
         if self.is_zero():
             raise ZeroInput("division by zero")
-        n = self.norm()
         if self.field.degree == 1:
             q, r = divmod(other.x, self.x)
             return (q, 0) if r == 0 else None
-        num = other * self.conjugate()
-        if num.x % n or num.y % n:
-            return None
-        return (num.x // n, num.y // n)
+        return _quotient(self.field, other.x, other.y, self, self.norm())
 
     # -- embeddings and formatting --------------------------------------
 
@@ -235,6 +231,45 @@ class AlgebraicInt:
 
     def __repr__(self) -> str:
         return f"AlgebraicInt({self.field.label()}, {self})"
+
+
+def _quotient(field: QuadraticField, x: int, y: int, pi: AlgebraicInt,
+              norm: int) -> tuple[int, int] | None:
+    """(x + y*omega) / pi as coordinates, or None when pi does not divide it.
+
+    `field` is quadratic and `norm` is N(pi).  The quotient is
+    (x + y*omega) * conj(pi) / norm, computed once: it is integral exactly
+    when both coordinates of the product are multiples of the norm.
+    """
+    d, u, v = field.d, pi.x, pi.y
+    if field.omega_is_half_integral:
+        # conj(pi) = (u + v) - v*omega and omega^2 = omega + (d - 1)/4
+        u += v
+        qx, r = divmod(x * u - y * v * ((d - 1) // 4), norm)
+        if r:
+            return None
+        qy, r = divmod(y * u - x * v - y * v, norm)
+    else:
+        # conj(pi) = u - v*omega and omega^2 = d
+        qx, r = divmod(x * u - d * y * v, norm)
+        if r:
+            return None
+        qy, r = divmod(y * u - x * v, norm)
+    return None if r else (qx, qy)
+
+
+def _divide_out(field: QuadraticField, x: int, y: int, entry: "FactorEntry",
+                cap: int) -> tuple[int, int, int]:
+    """Divide entry.prime out of x + y*omega while it divides, at most cap
+    times: (times divided, quotient coordinates)."""
+    e = 0
+    while e < cap:
+        q = _quotient(field, x, y, entry.prime, entry.norm)
+        if q is None:
+            break
+        x, y = q
+        e += 1
+    return e, x, y
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +439,19 @@ def _is_strong_lucas_prp(n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Primality: deterministic Miller-Rabin below 2^64, Baillie-PSW above.
+    """Primality by Baillie-PSW, after division by the primes up to 37.
 
-    Below 2^64 the first twelve prime bases are a proof.  Above, n must pass
-    a strong base-2 test and a strong Lucas test with Selfridge's parameters
-    (Baillie-Wagstaff 1980); no composite is known to pass both.
+    n must pass a strong base-2 test and a strong Lucas test with Selfridge's
+    parameters (Baillie-Wagstaff 1980).  Below 2^64 this is a proof: no
+    composite there passes both (Gilchrist 2013, against Feitsma's list of
+    the base-2 strong pseudoprimes below 2^64).  Above, no composite is known
+    to pass both.
     """
     if n < 2:
         return False
-    for p in _MR_BASES_64:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < 1 << 64:
-        return all(_is_strong_prp(n, a) for a in _MR_BASES_64)
     return _is_strong_prp(n, 2) and _is_strong_lucas_prp(n)
 
 
@@ -466,14 +501,44 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             return g
 
 
+_SMALL_LIMIT = 1 << 16
+
+
+@lru_cache(maxsize=1)
+def _small_prime_product() -> int:
+    """The product of the primes below _SMALL_LIMIT (about 94,000 bits)."""
+    return prod(primes_upto(_SMALL_LIMIT))
+
+
+def _strip_small_primes(n: int, out: dict[int, int]) -> int:
+    """Divide every prime below _SMALL_LIMIT out of n into `out`; return the rest.
+
+    One gcd against the product of those primes finds the ones that divide n,
+    so a large part with no small factor costs one gcd and nothing else.
+    """
+    g = gcd(n, _small_prime_product())
+    for p in primes_upto(_SMALL_LIMIT):
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+    return n
+
+
 @lru_cache(maxsize=1 << 16)
 def _factor_nat(n: int) -> tuple[tuple[int, int], ...]:
     """Sorted (prime, exponent) pairs of n >= 1.
 
-    Trial division by the primes up to min(sqrt(n), 1000); a composite
-    cofactor then goes to Pollard-Brent rho, which finds a factor p in about
-    sqrt(p) steps.  A part below 1000^2 is prime by the trial division, and
-    a larger part is checked by `is_probable_prime`.
+    Trial division by the primes up to min(sqrt(n), 1000); a cofactor above
+    2^128 then loses every prime below 2^16 through one gcd with their
+    product, so rho never peels small primes off a huge part one primality
+    test at a time.  A composite cofactor then goes to Pollard-Brent rho,
+    which finds a factor p in about sqrt(p) steps.  A part below 1000^2 is
+    prime by the trial division, and a larger part is checked by
+    `is_probable_prime`.
 
     Rho stops after _RHO_STEP_CAP = 2^23 squarings.  On 40 random semiprimes
     it needed 0.8 to 4.5 sqrt(p) steps (median 2) for the smaller factor p.
@@ -491,6 +556,8 @@ def _factor_nat(n: int) -> tuple[tuple[int, int], ...]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    if n > 1 << 128:
+        n = _strip_small_primes(n, out)
     # no prime <= min(sqrt(n), bound) is left, so any part below bound^2 is prime
     stack = [n] if n > 1 else []
     while stack:
@@ -624,27 +691,34 @@ def primes_above(field: QuadraticField, p: int) -> tuple[FactorEntry, ...]:
 def factor_quad(alpha: AlgebraicInt) -> IdealFactorization:
     """Factor a nonzero quadratic integer into canonical primes times a unit.
 
-    Route: factor |norm(alpha)| over Z, lift each rational prime through the
-    splitting rule, and divide out; valid because every ideal is principal.
+    Route (Cohen, GTM 138, ch. 5): factor |norm(alpha)| over Z, lift each
+    rational prime p through the splitting rule, and divide out; valid
+    because every ideal is principal.  If p^k exactly divides the norm, then
+    k = sum of e_i * f_i over the primes above p, where e_i is the order of
+    the i-th prime in alpha and f_i is 2 for an inert p and 1 otherwise.  So
+    the divisions by the primes above p stop once they have spent k: the
+    conjugate of a split p is not tried when the first prime took all of k,
+    and no division is tried that must fail.  Each division is one quotient
+    on the coordinates.
     """
-    if alpha.field.degree != 2:
+    field = alpha.field
+    if field.degree != 2:
         raise UnsupportedField("factor_quad needs a quadratic field element")
     if alpha.is_zero():
         raise ZeroInput("cannot factor 0")
-    remaining = alpha
+    x, y = alpha.x, alpha.y
     entries: list[FactorEntry] = []
-    for p, _ in _factor_nat(abs(alpha.norm())):
-        for cand in primes_above(alpha.field, p):
-            e = 0
-            while cand.prime.divides(remaining):
-                remaining = remaining.exact_div(cand.prime)
-                e += 1
+    for p, k in _factor_nat(abs(alpha.norm())):
+        for cand in primes_above(field, p):
+            step = 1 if cand.norm == p else 2
+            e, x, y = _divide_out(field, x, y, cand, k // step)
             if e:
                 entries.append(FactorEntry(cand.prime, e, cand.norm))
-    if not remaining.is_unit():
-        raise AbckitInternal(f"non-unit cofactor {remaining} for {alpha}")
+                k -= e * step
+        if k:
+            raise AbckitInternal(f"the primes above {p} do not account for {alpha}'s norm")
     entries.sort(key=_entry_key)
-    return IdealFactorization(alpha.field, remaining, tuple(entries))
+    return IdealFactorization(field, AlgebraicInt(field, x, y), tuple(entries))
 
 
 def factor_element(alpha: AlgebraicInt) -> IdealFactorization:
@@ -660,20 +734,29 @@ def canonical_associate(alpha: AlgebraicInt) -> AlgebraicInt:
     Over Q: positive.  In Z[i]: x > 0 and y >= 0.  For d = -3: the
     lexicographically (x, y)-smallest associate in the half-plane
     x > 0 or (x = 0, y > 0).  Elsewhere: that half-plane directly.
+
+    Computed on the coordinates: the units are +-1 except i in Z[i], where
+    multiplying by i maps (x, y) to (-y, x), and omega in d = -3, a primitive
+    sixth root of unity mapping (x, y) to (-y, x + y).
     """
     if alpha.is_zero():
         raise ZeroInput("0 has no canonical associate")
-    f = alpha.field
+    f, x, y = alpha.field, alpha.x, alpha.y
     if f.degree == 1:
-        return AlgebraicInt(f, abs(alpha.x), 0)
-    associates = [u * alpha for u in f.units()]
+        return AlgebraicInt(f, abs(x), 0)
     if f.d == -1:
-        for cand in associates:
-            if cand.x > 0 and cand.y >= 0:
-                return cand
-        raise AbckitInternal(f"no canonical associate for {alpha}")
-    half_plane = [a for a in associates if a.x > 0 or (a.x == 0 and a.y > 0)]
-    return min(half_plane, key=lambda a: (a.x, a.y))
+        while x <= 0 or y < 0:
+            x, y = -y, x
+    elif f.d == -3:
+        best = None
+        for _ in range(6):
+            if (x > 0 or (x == 0 and y > 0)) and (best is None or (x, y) < best):
+                best = (x, y)
+            x, y = -y, x + y
+        x, y = best
+    elif not (x > 0 or (x == 0 and y > 0)):
+        x, y = -x, -y
+    return AlgebraicInt(f, x, y)
 
 
 def ideal_coprime(a: AlgebraicInt, b: AlgebraicInt) -> bool:
@@ -686,9 +769,11 @@ def ideal_coprime(a: AlgebraicInt, b: AlgebraicInt) -> bool:
     g = gcd(abs(a.norm()), abs(b.norm()))
     if g == 1:
         return True
+    field = a.field
     for p, _ in _factor_nat(g):
-        for cand in primes_above(a.field, p):
-            if cand.prime.divides(a) and cand.prime.divides(b):
+        for cand in primes_above(field, p):
+            if (_quotient(field, a.x, a.y, cand.prime, cand.norm) is not None
+                    and _quotient(field, b.x, b.y, cand.prime, cand.norm) is not None):
                 return False
     return True
 

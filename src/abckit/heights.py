@@ -22,7 +22,10 @@ from .arith import (
     QuadraticField,
     RATIONALS,
     _entry_key,
+    _divide_out,
+    _factor_nat,
     factor_element,
+    primes_above,
 )
 from .errors import AllZero, BadParameter, ZeroInput
 
@@ -141,6 +144,13 @@ def projective_height(coords, field: QuadraticField | None = None) -> Fraction:
     factor rational, so the result is an exact Fraction; over Q with coprime
     integer coordinates it is max |x_i|.  Fraction inputs over Q are cleared
     to a common denominator first (the height does not change).
+
+    The finite places contribute 1 / prod N(pi)^m(pi), where m(pi) is the
+    least order of pi in a nonzero coordinate.  Over Q that product is the
+    gcd of the |x_i|.  Over a quadratic field, a prime dividing every
+    coordinate lies over a rational p dividing g = gcd of the |N(x_i)|, with
+    m(pi) at most the exponent of p in g (half of it for an inert p).  So
+    only g is factored, and a coprime triple (g = 1) factors nothing.
     """
     if field is None:
         for c in coords:
@@ -164,21 +174,18 @@ def projective_height(coords, field: QuadraticField | None = None) -> Fraction:
     if not nonzero:
         raise AllZero("projective height needs a nonzero coordinate")
 
-    factorizations = [factor_element(c) for c in nonzero]
-    universe: dict[AlgebraicInt, int] = {}
-    for fac in factorizations:
-        for entry in fac:
-            universe[entry.prime] = entry.norm
-    finite = Fraction(1)
-    for prime, norm in universe.items():
-        m = min(fac.ord_of(prime) for fac in factorizations)
-        if m > 0:
-            finite /= Fraction(norm) ** m
     if field.degree == 1:
-        infinite = max(abs(c.x) for c in nonzero)
-    else:
-        infinite = max(abs(c.norm()) for c in nonzero)
-    return finite * infinite
+        sizes = [abs(c.x) for c in nonzero]
+        return Fraction(max(sizes), gcd(*sizes))
+    sizes = [abs(c.norm()) for c in nonzero]
+    common = 1
+    for p, k in _factor_nat(gcd(*sizes)):
+        for entry in primes_above(field, p):
+            m = k if entry.norm == p else k // 2
+            for c in nonzero:
+                m = _divide_out(field, c.x, c.y, entry, m)[0]
+            common *= entry.norm**m
+    return Fraction(max(sizes), common)
 
 
 def log_projective_height(coords, field: QuadraticField | None = None,

@@ -209,6 +209,44 @@ class TestBailliePSW:
                 if n >= 1 << 64:
                     assert not is_probable_prime(n) and not sympy.isprime(n)
 
+    def test_strong_pseudoprime_to_every_base_up_to_31(self):
+        n = 3825123056546413051
+        assert n == 149491 * 747451 * 34233211
+        assert all(_is_strong_prp(n, a) for a in primes_upto(31))
+        assert not is_probable_prime(n) and not sympy.isprime(n)
+
+    def test_smallest_strong_pseudoprimes_to_the_first_prime_bases(self):
+        # the least strong pseudoprimes to all prime bases up to 7, 11, 13 and 17
+        # (OEIS A014233); none has a factor <= 37, so the Lucas half decides
+        for n in (3215031751, 2152302898747, 3474749660383, 341550071728321):
+            assert _is_strong_prp(n, 2)
+            assert not is_probable_prime(n) and not sympy.isprime(n)
+
+    def test_random_odd_32_to_64_bits_against_sympy(self, rng):
+        for _ in range(600):
+            bits = rng.randint(32, 64)
+            n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            assert is_probable_prime(n) == sympy.isprime(n), n
+
+    def test_primes_of_21_to_64_bits(self, rng):
+        for _ in range(200):
+            bits = rng.randint(21, 64)
+            p = sympy.randprime(1 << (bits - 1), 1 << bits)
+            assert is_probable_prime(p), p
+
+    def test_chernick_carmichael_numbers_below_2_64(self):
+        # (6k+1)(12k+1)(18k+1) with all three factors prime and above 37
+        count = 0
+        for k in range(7, 100_000):
+            parts = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            n = parts[0] * parts[1] * parts[2]
+            if n >= 1 << 64:
+                break
+            if all(sympy.isprime(p) for p in parts):
+                count += 1
+                assert not is_probable_prime(n) and not sympy.isprime(n), n
+        assert count > 100
+
     def test_chernick_carmichael_numbers(self):
         numbers = _chernick_carmichaels(40)
         assert all(n > 1 << 64 for n in numbers)
@@ -263,6 +301,90 @@ class TestFactorDifferential:
     @given(n=planted_numbers())
     def test_planted_factors_hypothesis(self, n):
         assert dict(_factor_nat(n)) == sympy.factorint(n)
+
+
+class TestStripSmallPrimes:
+    """Parts above 2^128 lose their primes below 2^16 through one gcd."""
+
+    def test_mid_primes_big_prime_and_semiprime_against_sympy(self, rng):
+        mid = [p for p in primes_upto(1 << 16) if p > 1000]
+        big = sympy.nextprime(rng.getrandbits(140) | (1 << 139))
+        semi = sympy.prevprime(rng.randrange(2**24, 2**26)) * sympy.nextprime(
+            rng.randrange(2**26, 2**28))
+        for count in (3, 40, 400):
+            n = big * semi
+            for p in rng.sample(mid, count):
+                n *= p ** rng.choice([1, 1, 2, 3])
+            # sympy's ECM stalls on products of many primes above 2^10; its
+            # trial division, rho and p-1 factor them in well under a second
+            assert dict(_factor_nat(n)) == sympy.factorint(n, use_ecm=False)
+
+    def test_only_small_primes(self):
+        n = 1
+        for p in primes_upto(6000)[3:]:
+            n *= p
+        assert _factor_nat(n) == tuple((p, 1) for p in primes_upto(6000)[3:])
+
+    def test_big_part_without_small_factors(self, rng):
+        # the gcd is 1, so the part leaves the strip step unchanged and goes to rho
+        big = sympy.nextprime(1 << 200)
+        p, q = sympy.prevprime(2**30), sympy.nextprime(2**31)
+        assert _factor_nat(big * p * q) == ((p, 1), (q, 1), (big, 1))
+        assert _factor_nat(big * 997**3) == ((997, 3), (big, 1))
+
+
+def _factor_quad_by_divides(alpha: AlgebraicInt) -> tuple:
+    """Entries and unit by the earlier lift: for each p | N(alpha), test and
+    divide by every prime above p with `divides` and `exact_div` until one fails."""
+    remaining, entries = alpha, []
+    for p, _ in _factor_nat(abs(alpha.norm())):
+        for cand in primes_above(alpha.field, p):
+            e = 0
+            while cand.prime.divides(remaining):
+                remaining = remaining.exact_div(cand.prime)
+                e += 1
+            if e:
+                entries.append((cand.prime, e, cand.norm))
+    assert remaining.is_unit()
+    return sorted(entries, key=lambda t: (t[2], t[0].x, t[0].y)), remaining
+
+
+class TestFactorQuadLift:
+    """factor_quad's budgeted lift against the divides/exact_div lift."""
+
+    @staticmethod
+    def _assert_same(alpha):
+        fac = factor_quad(alpha)
+        entries, unit = _factor_quad_by_divides(alpha)
+        assert [(e.prime, e.exponent, e.norm) for e in fac] == entries, alpha
+        assert fac.unit == unit, alpha
+
+    def test_planted_in_every_field(self, rng):
+        # unit * prod over p in {2, 3, three random p} of the primes above p,
+        # each to a random power: pi^e pi_bar^f, inert p^g and ramified pi^e
+        kinds = set()
+        for f in QUADRATIC_FIELDS:
+            kinds |= {splitting_type(f, 2), splitting_type(f, 3)}
+            for _ in range(60):
+                alpha = rng.choice(f.units())
+                for p in [2, 3] + rng.sample(primes_upto(400), 3):
+                    for entry in primes_above(f, p):
+                        alpha = alpha * entry.prime ** rng.choice([0, 0, 1, 2, 3, 5])
+                self._assert_same(alpha)
+        assert kinds == {"split", "inert", "ramified"}
+
+    def test_one_split_prime_takes_the_whole_norm(self):
+        for f in QUADRATIC_FIELDS:
+            for p in primes_upto(60):
+                above = [e.prime for e in primes_above(f, p)]
+                for pi, other in zip(above, reversed(above)):
+                    for e in (1, 2, 5):
+                        self._assert_same(pi**e)
+                        self._assert_same(pi**e * other ** (e - 1))
+
+    def test_random_elements(self, rng):
+        for _ in range(300):
+            self._assert_same(random_element(rng, rng.choice(QUADRATIC_FIELDS), 10**12))
 
 
 class TestFactorQuad:
@@ -363,6 +485,24 @@ class TestCanonicalAssociate:
     def test_zero_rejected(self):
         with pytest.raises(ZeroInput):
             canonical_associate(AlgebraicInt(Q, 0, 0))
+
+    def test_matches_unit_enumeration_on_a_box(self):
+        for f in ALL_FIELDS:
+            units = f.units() if f.degree == 2 else (AlgebraicInt(f, 1), AlgebraicInt(f, -1))
+            for x in range(-15, 16):
+                for y in range(-15, 16) if f.degree == 2 else (0,):
+                    if x == 0 and y == 0:
+                        continue
+                    a = AlgebraicInt(f, x, y)
+                    associates = [u * a for u in units]
+                    if f.d == -1:
+                        (want,) = [c for c in associates if c.x > 0 and c.y >= 0]
+                    else:
+                        want = min((c for c in associates if c.x > 0 or (c.x == 0 and c.y > 0)),
+                                   key=lambda c: (c.x, c.y))
+                    got = canonical_associate(a)
+                    assert got == want, (f, a)
+                    assert canonical_associate(got) == got
 
     def test_idempotent_and_constant_on_classes(self, rng):
         for f in ALL_FIELDS:

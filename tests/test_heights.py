@@ -14,6 +14,7 @@ from abckit import (
     projective_height,
     weil_height,
 )
+from abckit.arith import primes_above
 from abckit.errors import AllZero, ZeroInput
 
 from conftest import ALL_FIELDS, GAUSSIAN, random_element
@@ -130,6 +131,64 @@ class TestProjectiveHeight:
                     absolute_weil_height(x, z), absolute_weil_height(y, z)
                 )
                 assert lhs <= bound + 1e-9
+
+
+def _height_by_factoring(coords) -> Fraction:
+    """The earlier route: factor every nonzero coordinate and divide by
+    N(pi)^(least order of pi) for each prime pi that occurs."""
+    nonzero = [c for c in coords if not c.is_zero()]
+    facs = [factor_element(c) for c in nonzero]
+    finite = Fraction(1)
+    for prime, norm in {e.prime: e.norm for fac in facs for e in fac}.items():
+        finite /= Fraction(norm) ** min(fac.ord_of(prime) for fac in facs)
+    return finite * max(abs(c.x) if c.field.degree == 1 else abs(c.norm())
+                        for c in nonzero)
+
+
+class TestProjectiveHeightAgainstFactoring:
+    """projective_height (factor the gcd of the norms) against factoring
+    every coordinate."""
+
+    def test_scaled_and_zero_coordinates(self, rng):
+        for f in ALL_FIELDS:
+            for _ in range(80):
+                coords = [random_element(rng, f, 10**6) for _ in range(rng.randint(1, 4))]
+                scale = random_element(rng, f, 10**4)
+                # a common factor of only some coordinates must not count
+                part = random_element(rng, f, 10**3)
+                coords = [c * scale * (part if i < 2 else 1) for i, c in enumerate(coords)]
+                coords += [AlgebraicInt(f, 0, 0)] * rng.randint(0, 2)
+                rng.shuffle(coords)
+                assert projective_height(coords, f) == _height_by_factoring(coords)
+
+    def test_prime_powers_shared_by_some_coordinates(self, rng):
+        for f in ALL_FIELDS:
+            primes = [e.prime for p in (2, 3, 5, 7, 13) for e in primes_above(f, p)] \
+                if f.degree == 2 else [AlgebraicInt(f, p) for p in (2, 3, 5, 7, 13)]
+            for _ in range(60):
+                coords = []
+                for _ in range(3):
+                    c = AlgebraicInt(f, 1, 0)
+                    for pi in primes:
+                        c = c * pi ** rng.choice([0, 0, 1, 2, 3])
+                    coords.append(c)
+                assert projective_height(coords, f) == _height_by_factoring(coords)
+
+    def test_pairwise_but_not_common_factors(self):
+        assert projective_height([6, 10, 15]) == 15
+        assert projective_height([4, 6, 0, 9]) == 9
+        g = [AlgebraicInt(GAUSSIAN, *xy) for xy in ((2, 0), (1, 1), (3, 3), (0, 6))]
+        assert projective_height(g) == _height_by_factoring(g) == 18
+
+    def test_fraction_coordinates_over_q(self, rng):
+        for _ in range(100):
+            fracs = [Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**3))
+                     for _ in range(3)]
+            if not any(fracs):
+                continue
+            lcm = math.lcm(*(q.denominator for q in fracs))
+            ints = [AlgebraicInt(Q, int(q * lcm)) for q in fracs]
+            assert projective_height(fracs) == _height_by_factoring(ints)
 
 
 class TestHouse:

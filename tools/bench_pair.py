@@ -55,6 +55,24 @@ for n in norms:
 seconds = time.perf_counter() - t0
 work = len(norms)
 """),
+    "arith.factor_element.quad_lift_seed1_s": (
+        "factor_element over the a, b, c of quad_reports seed 1, after one "
+        "untimed pass has warmed _factor_nat and primes_above, so only the "
+        "lift from norms to prime ideals is timed",
+        """
+from abckit import arith
+from generators import load_reference, sample_quads
+from workloads import QuadReports
+batch = sample_quads(load_reference("quad_reports")["catalogue"], 1)
+elements = [v for triple in QuadReports.elements(batch) for v in triple]
+for v in elements:
+    arith.factor_element(v)
+t0 = time.perf_counter()
+for v in elements:
+    arith.factor_element(v)
+seconds = time.perf_counter() - t0
+work = len(elements)
+"""),
     "arith.is_probable_prime_2048_s": (
         "decide the 2048-bit prime 2^2048 - 1557",
         """
