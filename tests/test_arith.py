@@ -325,7 +325,7 @@ class TestStripSmallPrimes:
             n *= p
         assert _factor_nat(n) == tuple((p, 1) for p in primes_upto(6000)[3:])
 
-    def test_big_part_without_small_factors(self, rng):
+    def test_big_part_without_small_factors(self):
         # the gcd is 1, so the part leaves the strip step unchanged and goes to rho
         big = sympy.nextprime(1 << 200)
         p, q = sympy.prevprime(2**30), sympy.nextprime(2**31)
