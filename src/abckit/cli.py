@@ -279,7 +279,7 @@ def _cmd_tidy(args) -> int:
 def _cmd_sml_decide(args) -> int:
     spec = sml.RecurrenceSpec(args.c1, args.c2, args.c3, args.a0, args.a1, args.a2)
     config = _config_from_args(args)
-    verdict = sml.decide_zeros(spec, config, cap=args.cap, workers=args.workers)
+    verdict = sml.decide_zeros(spec, config, cap=args.cap)
     if verdict.status in ("Degenerate", "Unsupported"):
         print(f"{verdict.status}: {verdict.reason}")
         print(verdict.machine_line())
@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", type=int, required=True)
     _add_config_options(p)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_sml_decide)
 
     p = sub.add_parser("xyz", help="smooth triple tools")

@@ -6,6 +6,11 @@ gate -> exact closed-form coefficients -> denominator clearing and common-prime
 stripping -> radical-based bound on the last possible zero -> a scan of the
 sequence modulo the prime 2^61 - 1 up to that bound, in which every candidate
 zero is confirmed in exact integer arithmetic before it is reported.
+
+The scan runs in one process.  Past a thousand or so terms it advances up to
+1024 stretches of the sequence together, as 128-bit fields of one Python int
+(SIMD within a register), and finds zero fields with Lamport's test from
+"Multiple byte processing with full-word instructions" (CACM 18(8), 1975).
 """
 
 from __future__ import annotations
@@ -34,13 +39,15 @@ from .errors import (
     ZeroInput,
 )
 from .heights import weil_height
-from .pool import _pool_map, worker_count
 
 from mpmath import mp
 
 HARD_ENUMERATION_LIMIT = 10**9
 DEFAULT_CAP = 10**6
 SCAN_MODULUS = (1 << 61) - 1  # a Mersenne prime: a_n = 0 implies a_n = 0 mod it
+LANE_BYTES = 16  # one 128-bit field per lane of the scan
+LANE_CROSSOVER = 1024  # scans of fewer terms run one term at a time
+MAX_LANES = 1024
 
 
 @dataclass(frozen=True)
@@ -348,11 +355,9 @@ def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> fl
         return float(mp.mpf(G) ** (mp.mpf(1) / 3 + term) / h_max)
 
 
-def _state_at(spec: RecurrenceSpec, n: int, modulus: int | None = None,
-              state: tuple[int, int, int] | None = None) -> tuple[int, int, int]:
-    """(a_n, a_{n+1}, a_{n+2}) by companion-matrix power: exact, or reduced
-    mod `modulus` after every product.  Given the state (a_m, a_{m+1}, a_{m+2})
-    instead of the initial values, it returns the state at m + n."""
+def _companion_power(spec: RecurrenceSpec, n: int, modulus: int | None = None):
+    """M^n for the companion matrix M of the recurrence: exact, or reduced mod
+    `modulus` after every product."""
     def reduce(x: int) -> int:
         return x if modulus is None else x % modulus
 
@@ -364,64 +369,151 @@ def _state_at(spec: RecurrenceSpec, n: int, modulus: int | None = None,
 
     M = ((0, 1, 0), (0, 0, 1), (spec.c3, spec.c2, spec.c1))
     P = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    e = n
-    while e:
-        if e & 1:
+    while n:
+        if n & 1:
             P = mat_mul(P, M)
         M = mat_mul(M, M)
-        e >>= 1
+        n >>= 1
+    return P
+
+
+def _apply(P, v: tuple[int, int, int], modulus: int | None = None) -> tuple[int, int, int]:
+    """The matrix-vector product P v, exact or reduced mod `modulus`."""
+    w = tuple(sum(P[i][k] * v[k] for k in range(3)) for i in range(3))
+    return w if modulus is None else tuple(x % modulus for x in w)
+
+
+def _state_at(spec: RecurrenceSpec, n: int, modulus: int | None = None,
+              state: tuple[int, int, int] | None = None) -> tuple[int, int, int]:
+    """(a_n, a_{n+1}, a_{n+2}) by companion-matrix power: exact, or reduced
+    mod `modulus` after every product.  Given the state (a_m, a_{m+1}, a_{m+2})
+    instead of the initial values, it returns the state at m + n."""
     v = state if state is not None else (spec.a0, spec.a1, spec.a2)
-    return tuple(reduce(sum(P[i][k] * v[k] for k in range(3))) for i in range(3))
+    return _apply(_companion_power(spec, n, modulus), v, modulus)
 
 
-def _scan_chunk(args) -> list[int]:
-    """The n in [n_start, n_start + count) with a_n = 0 mod SCAN_MODULUS,
-    stepping the recurrence from the reduced state at n_start."""
-    c1, c2, c3, state, n_start, count = args
-    w0, w1, w2 = state
+def _scan_scalar(spec: RecurrenceSpec, total: int) -> list[int]:
+    """The n < total with a_n = 0 mod SCAN_MODULUS, one term at a time."""
+    c1, c2, c3 = (c % SCAN_MODULUS for c in (spec.c1, spec.c2, spec.c3))
+    w0, w1, w2 = (a % SCAN_MODULUS for a in (spec.a0, spec.a1, spec.a2))
     candidates = []
-    for n in range(n_start, n_start + count):
+    for n in range(total):
         if not w0:
             candidates.append(n)
         w0, w1, w2 = w1, w2, (c1 * w2 + c2 * w1 + c3 * w0) % SCAN_MODULUS
     return candidates
 
 
-def _enumerate_zeros(spec: RecurrenceSpec, limit: int, workers: int) -> tuple[int, ...]:
+def _pack(values) -> int:
+    """One int whose LANE_BYTES-byte field j holds values[j]."""
+    return int.from_bytes(b"".join(v.to_bytes(LANE_BYTES, "little") for v in values),
+                          "little")
+
+
+def _has_zero_field(W: int, ones: int, high: int) -> bool:
+    """Lamport's test: whether some field of W is zero, for fields below 2^61
+    and with 1 in every field of `ones` and 2^60 in every field of `high`.
+
+    In W - ones a zero field borrows and sets its bit 60.  A nonzero field
+    sets it only if it had it already, which ~W clears, or if it is 1 and
+    the field below it borrowed, which happens only above a zero field.
+    """
+    return bool((W - ones) & ~W & high)
+
+
+def _scan_lanes(spec: RecurrenceSpec, total: int, lanes: int) -> list[int]:
+    """The same candidates as _scan_scalar, with up to `lanes` stretches of the
+    sequence advanced together as the 128-bit fields of three ints.
+
+    With S = ceil(total / lanes), field j of (W0, W1, W2) starts as the
+    reduced state (a_n, a_{n+1}, a_{n+2}) at n = j S, from one power M^S of
+    the companion matrix and one matrix-vector product per lane.  A step sets
+    F = c1 W2 + c2 W1 + c3 W0 with every c and field in [0, p), p =
+    SCAN_MODULUS = 2^61 - 1, so a field of F is below 3 * 2^122 and no carry
+    crosses into the next one.  Two Mersenne folds x -> (x mod 2^61) +
+    floor(x / 2^61), applied to every field at once, bring each field below
+    p + 5; one more fold of F + 1, minus 1, makes it canonical, in [0, p).
+    Only a step at which _has_zero_field finds a zero field reads its fields
+    one at a time.
+    """
+    step = ceil(total / lanes)
+    lanes = ceil(total / step)
+    P = _companion_power(spec, step, SCAN_MODULUS)
+    state = tuple(a % SCAN_MODULUS for a in (spec.a0, spec.a1, spec.a2))
+    starts = []
+    for _ in range(lanes):
+        starts.append(state)
+        state = _apply(P, state, SCAN_MODULUS)
+    W0, W1, W2 = (_pack(column) for column in zip(*starts))
+    # `low` keeps bits 0-60 of each field; after a shift by 61, `fold` keeps
+    # the field's own bits 61-127 and drops those shifted in from above
+    ones, low, fold, high = (_pack([v] * lanes) for v in
+                             (1, SCAN_MODULUS, (1 << 67) - 1, 1 << 60))
+    c1, c2, c3 = (c % SCAN_MODULUS for c in (spec.c1, spec.c2, spec.c3))
+    zero = bytes(LANE_BYTES)
+    candidates = []
+    for t in range(step):
+        if _has_zero_field(W0, ones, high):
+            raw = W0.to_bytes(LANE_BYTES * lanes, "little")
+            candidates += [n for j, n in enumerate(range(t, total, step))
+                           if raw[LANE_BYTES * j:LANE_BYTES * (j + 1)] == zero]
+        F = c1 * W2 + c2 * W1 + c3 * W0
+        F = (F & low) + ((F >> 61) & fold)
+        F = (F & low) + ((F >> 61) & fold) + ones
+        F = (F & low) + ((F >> 61) & fold) - ones
+        W0, W1, W2 = W1, W2, F
+    return sorted(candidates)
+
+
+def _enumerate_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
     """All n in [0, limit] with a_n = 0.
 
-    One contiguous range per worker is scanned modulo SCAN_MODULUS from its
-    own reduced start state.  Every zero is a candidate, because a_n = 0
-    implies a_n = 0 mod SCAN_MODULUS; each candidate is then kept only if
-    a_n = 0 exactly.  The exact state is carried from one candidate to the
-    next, so even a sequence whose every term is a candidate costs no more
-    than an exact scan.
+    The sequence is scanned modulo SCAN_MODULUS: one term at a time below
+    LANE_CROSSOVER terms, in min(MAX_LANES, isqrt(limit + 1) // 2) lanes from
+    there on.  Every zero is a candidate, because a_n = 0 implies a_n = 0 mod
+    SCAN_MODULUS; each candidate is then kept only if a_n = 0 exactly.  The
+    exact state is carried from one candidate to the next, so even a sequence
+    whose every term is a candidate costs no more than an exact scan.
+
+    Both choices depend on limit alone.  Best-of-n times of the two scans
+    for RecurrenceSpec(10, -31, 30, 10^6 + 3, 112, 452) on a 2-vCPU Xeon,
+    Python 3.11.7:
+
+        terms       lanes   one at a time   in lanes
+          512          11         0.35 ms    0.54 ms
+          768          13         0.54 ms    0.61 ms
+        1,024          16         0.71 ms    0.64 ms
+        2,048          22         1.19 ms    1.00 ms
+       10,000          50         5.3 ms     1.5 ms
+      100,000         158          48 ms      17 ms
+    1,000,000         500         515 ms     153 ms
+
+    From 10^4 terms on, a quarter to four times that many lanes stayed
+    within 30% of it; the cost per term flattens out at about 0.15 us.
     """
     total = limit + 1
-    size = total if total < 64 else ceil(total / workers)
-    c1, c2, c3 = (c % SCAN_MODULUS for c in (spec.c1, spec.c2, spec.c3))
-    tasks = [(c1, c2, c3, _state_at(spec, start, SCAN_MODULUS), start,
-              min(size, total - start)) for start in range(0, total, size)]
+    if total < LANE_CROSSOVER:
+        candidates = _scan_scalar(spec, total)
+    else:
+        candidates = _scan_lanes(spec, total, min(MAX_LANES, isqrt(total) // 2))
     zeros = []
     at, state = 0, (spec.a0, spec.a1, spec.a2)
-    for chunk in _pool_map(_scan_chunk, tasks, workers):
-        for n in chunk:
-            state = _state_at(spec, n - at, state=state)
-            at = n
-            if state[0] == 0:
-                zeros.append(n)
+    for n in candidates:
+        state = _state_at(spec, n - at, state=state)
+        at = n
+        if state[0] == 0:
+            zeros.append(n)
     return tuple(zeros)
 
 
 def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
-                 cap: int | None = None, workers: int = 1) -> SmlVerdict:
+                 cap: int | None = None) -> SmlVerdict:
     """Decide whether the recurrence has zeros, with an explicit enumeration bound.
 
     Degenerate and unsupported inputs are reported in the verdict rather than
     raised; root triples that are not pairwise coprime as ideals are rejected
     with RootsNotCoprime.
     """
-    workers = worker_count(workers)
     if cap is not None and cap < 0:
         raise BadParameter(f"cap must be nonnegative, got {cap}")
     try:
@@ -480,7 +572,7 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
             truncated = True
     limit = max(limit, certificate.n0, 2)
 
-    zeros = _enumerate_zeros(spec, limit, workers)
+    zeros = _enumerate_zeros(spec, limit)
     status = "ZerosFound" if zeros else "NoZerosUpToBound"
     return SmlVerdict(
         status=status, zeros=zeros, N=limit, bound=bound, G=G, h_max=h_max,

@@ -136,6 +136,16 @@ class TestCommands:
         code, out, err = run(capsys, SML_FLAGSHIP + ["--cap", "-5"])
         assert code == 1 and "cap must be nonnegative" in err and out == ""
 
+    def test_sml_decide_past_the_lane_crossover(self, capsys):
+        # the bound passes the hard limit, so the cap decides: 5001 terms,
+        # enough for the scan to run in lanes
+        code, out, _ = run(capsys, ["sml", "decide", "--c1", "10", "--c2", "-31",
+                                    "--c3", "30", "--a0", "1000003", "--a1", "112",
+                                    "--a2", "452", "--cap", "5000"])
+        assert code == 0
+        assert "the zero bound exceeds the hard limit 1000000000" in out
+        assert out.splitlines()[-1] == "NoZerosUpToBound,5000,149989230248296192530,"
+
     def test_yu_bound(self, capsys):
         code, out, _ = run(capsys, ["yu-bound", "--n", "1", "--degree", "1",
                                     "--e-p", "1", "--norm-p", "2",
@@ -410,8 +420,7 @@ def _argv(draw, out_path: str) -> list[str]:
         coefficients = [f"--{name}={value}" for name, value
                         in zip(("c1", "c2", "c3", "a0", "a1", "a2"), values)]
         cap = draw(_mostly(st.integers(0, 300), st.integers(-10**6, -1)))
-        return [command, "decide", *coefficients, f"--cap={cap}",
-                f"--workers={draw(WORKERS)}"] + draw(_config_args())
+        return [command, "decide", *coefficients, f"--cap={cap}"] + draw(_config_args())
     if command == "xyz":
         P = draw(_mostly(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]),
                          st.integers(-10**6, 23)))

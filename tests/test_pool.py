@@ -5,16 +5,11 @@ import os
 
 import pytest
 
-from abckit import (
-    RecurrenceSpec,
-    decide_zeros,
-    enumerate_triples,
-)
+from abckit import enumerate_triples
 from abckit import pool
 from abckit.cli import dispatch
 from abckit.errors import BadParameter
 
-SPEC = RecurrenceSpec(10, -31, 30, -19, -36, 0)  # a zero at n = 2, scanned to 300
 FAKE_CPUS = 4
 
 
@@ -47,7 +42,6 @@ def pools(monkeypatch):
 
 
 RUNS = {
-    "decide_zeros": lambda workers: decide_zeros(SPEC, cap=300, workers=workers),
     "enumerate_triples": lambda workers: enumerate_triples(5, 2000, workers=workers),
 }
 
@@ -88,7 +82,7 @@ class TestWorkerContract:
     def test_cli_rejects_zero_workers(self, capsys, argv):
         assert dispatch(argv + ["--workers", "0"]) == 1
         err = capsys.readouterr().err
-        if argv[0] == "calibrate":  # calibration is serial: it has no --workers flag
+        if argv[0] in ("sml", "calibrate"):  # serial: neither has a --workers flag
             assert "unrecognized arguments: --workers 0" in err
         else:
             assert "workers must be at least 1" in err

@@ -30,9 +30,14 @@ from abckit.errors import (
 )
 from abckit.arith import primes_upto
 from abckit.sml import (
+    LANE_CROSSOVER,
+    MAX_LANES,
     SCAN_MODULUS,
     _enumerate_zeros,
-    _scan_chunk,
+    _has_zero_field,
+    _pack,
+    _scan_lanes,
+    _scan_scalar,
     _state_at,
     closed_form_value,
 )
@@ -367,11 +372,6 @@ class TestDecideZeros:
         assert math.isinf(verdict.bound)
         assert "float range" in verdict.reason
 
-    def test_workers_agree(self):
-        seq = decide_zeros(FLAGSHIP, workers=1)
-        par = decide_zeros(FLAGSHIP, workers=3)
-        assert (seq.status, seq.zeros, seq.N, seq.G) == (par.status, par.zeros, par.N, par.G)
-
     def test_verdict_soundness_random(self, rng):
         for _ in range(25):
             roots = rng.sample([-5, -4, -3, -2, 2, 3, 4, 5], 3)
@@ -451,6 +451,32 @@ def exact_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
     return tuple(zeros)
 
 
+def lane_count(total: int) -> int:
+    """The lane count _enumerate_zeros uses for a scan of `total` terms."""
+    return min(MAX_LANES, math.isqrt(total) // 2)
+
+
+def planted_zero(roots: tuple[int, int, int], N: int) -> RecurrenceSpec:
+    """a_n = r2^N r3^N r1^n + r1^N r3^N r2^n - 2 r1^N r2^N r3^n: a_N = 0 exactly."""
+    r1, r2, r3 = roots
+    ks = (r2**N * r3**N, r1**N * r3**N, -2 * r1**N * r2**N)
+    return spec_from_roots(r1, r2, r3, *(sum(k * r**n for k, r in zip(ks, roots))
+                                        for n in range(3)))
+
+
+def planted_candidate(c: tuple[int, int, int], a0: int, a2: int,
+                      N: int) -> RecurrenceSpec | None:
+    """A spec with a_N = 0 mod SCAN_MODULUS, found by solving for a1; None
+    when the coefficient of a1 in a_N is 0 mod SCAN_MODULUS."""
+    M = SCAN_MODULUS
+    row = [_state_at(RecurrenceSpec(*c, *unit), N, M)[0]
+           for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    if row[1] == 0:
+        return None
+    a1 = -(row[0] * a0 + row[2] * a2) * pow(row[1], -1, M) % M
+    return RecurrenceSpec(*c, a0, a1, a2)
+
+
 class TestModularScan:
     def test_reduced_state_matches_exact(self):
         values = recurrence_values(FLAGSHIP, 40)
@@ -464,11 +490,10 @@ class TestModularScan:
                     st.integers(-6, 6).filter(bool)),
         a=st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)),
         limit=st.integers(0, 300),
-        workers=st.sampled_from([1, 3]),
     )
-    def test_matches_exact_scan(self, c, a, limit, workers):
+    def test_matches_exact_scan(self, c, a, limit):
         spec = RecurrenceSpec(*c, *a)
-        assert _enumerate_zeros(spec, limit, workers) == exact_zeros(spec, limit)
+        assert _enumerate_zeros(spec, limit) == exact_zeros(spec, limit)
 
     @pytest.mark.parametrize("spec", [
         FLAGSHIP,
@@ -478,14 +503,98 @@ class TestModularScan:
     ])
     def test_flagship_and_planted_zeros(self, spec):
         limit = decide_zeros(spec).N
-        for workers in (1, 3):
-            assert _enumerate_zeros(spec, limit, workers) == exact_zeros(spec, limit)
+        assert _enumerate_zeros(spec, limit) == exact_zeros(spec, limit)
 
     def test_confirmation_decides_when_every_term_is_a_candidate(self):
         # a_n = M (2^n + 3^n - 5^n): every term is 0 mod M, only a_1 is 0
         M = SCAN_MODULUS
         spec = RecurrenceSpec(10, -31, 30, M, 0, -12 * M)
-        candidates = _scan_chunk((10, -31 % M, 30, _state_at(spec, 0, M), 0, 301))
-        assert candidates == list(range(301))
-        for workers in (1, 3):
-            assert _enumerate_zeros(spec, 300, workers) == (1,) == exact_zeros(spec, 300)
+        for limit in (300, 3 * LANE_CROSSOVER):
+            assert _scan_scalar(spec, limit + 1) == list(range(limit + 1))
+            assert _scan_lanes(spec, limit + 1, lane_count(limit + 1)) == \
+                list(range(limit + 1))
+            assert _enumerate_zeros(spec, limit) == (1,) == exact_zeros(spec, limit)
+
+
+class TestLaneScan:
+    """The lane scan against the scalar scan, candidate for candidate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.tuples(st.integers(-6, 6), st.integers(-6, 6),
+                    st.integers(-6, 6).filter(bool)),
+        a=st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)),
+        total=st.integers(1, 600),
+        lanes=st.integers(1, 40),
+    )
+    def test_small_recurrences(self, c, a, total, lanes):
+        spec = RecurrenceSpec(*c, *a)
+        assert _scan_lanes(spec, total, lanes) == _scan_scalar(spec, total)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.tuples(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12),
+                    st.integers(-10**12, 10**12).filter(bool)),
+        a=st.tuples(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12)),
+        total=st.integers(1, 3000),
+        lanes=st.integers(1, 60),
+        where=st.floats(0, 1),
+    )
+    def test_planted_candidates_with_large_coefficients(self, c, a, total, lanes, where):
+        N = min(int(where * total), total - 1)
+        spec = planted_candidate(c, *a, N)
+        if spec is None:
+            return
+        candidates = _scan_scalar(spec, total)
+        assert N in candidates
+        assert _scan_lanes(spec, total, lanes) == candidates
+
+    @pytest.mark.parametrize("total", [LANE_CROSSOVER - 1, LANE_CROSSOVER,
+                                       LANE_CROSSOVER + 1, 5001])
+    def test_zeros_at_the_ends_of_lanes(self, total):
+        # 5001 terms in 35 lanes of 143, the last lane short
+        lanes = lane_count(total)
+        step = -(-total // lanes)
+        for N in (0, step - 1, step, 2 * step - 1, (lanes // 2) * step,
+                  (lanes // 2) * step - 1, total - step, total - 1):
+            for roots in ((2, 3, 5), (-7, 11, 13)):
+                spec = planted_zero(roots, N)
+                candidates = _scan_scalar(spec, total)
+                assert N in candidates
+                assert _scan_lanes(spec, total, lanes) == candidates
+                assert _enumerate_zeros(spec, total - 1) == (N,) == \
+                    exact_zeros(spec, total - 1)
+
+    def test_total_not_a_multiple_of_lanes(self):
+        total = 5001
+        assert total % lane_count(total)
+        for N in (0, 1234, 4999, 5000):
+            spec = planted_zero((3, -4, 7), N)
+            assert _enumerate_zeros(spec, total - 1) == (N,) == \
+                exact_zeros(spec, total - 1)
+
+    @pytest.mark.parametrize("k", [1, -1, 3])
+    def test_c3_a_multiple_of_the_modulus(self, k):
+        # c3 = 0 mod M: the scan sees an order-2 recurrence, the exact check does not
+        M = SCAN_MODULUS
+        total = 2 * LANE_CROSSOVER + 7
+        for a in ((0, 1, 3), (5, 0, 0), (1, 2, 3)):
+            spec = RecurrenceSpec(3, -2, k * M, *a)
+            assert _scan_lanes(spec, total, lane_count(total)) == \
+                _scan_scalar(spec, total)
+            assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)
+        spec = planted_candidate((3, -2, k * M), 17, 4, 1500)
+        candidates = _scan_scalar(spec, total)
+        assert 1500 in candidates
+        assert _scan_lanes(spec, total, lane_count(total)) == candidates
+
+    def test_lamport_test_flags_exactly_the_steps_with_a_zero_field(self, rng):
+        M = SCAN_MODULUS
+        edges = [0, 1, 2, (1 << 60) - 1, 1 << 60, (1 << 60) + 1, M - 2, M - 1]
+        for _ in range(400):
+            lanes = rng.randint(1, 12)
+            fields = [rng.choice(edges) if rng.random() < 0.5 else rng.randrange(M)
+                      for _ in range(lanes)]
+            flagged = _has_zero_field(_pack(fields), _pack([1] * lanes),
+                                      _pack([1 << 60] * lanes))
+            assert flagged == (0 in fields), fields

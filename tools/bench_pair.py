@@ -1,6 +1,6 @@
 """Benchmark a parent commit against the working tree, in alternating pairs.
 
-    python3 tools/bench_pair.py --topic NAME [--parent REV] [--seeds N]
+    python3 tools/bench_pair.py --topic NAME [--parent REV] [--seeds N] [--only NAME]...
 
 Run from the root of an abckit checkout.  The parent commit (default HEAD)
 is exported with ``git archive`` into a temporary directory (honouring
@@ -9,7 +9,9 @@ included.  For each workload in BENCHMARK.json and each seed 101, 102,
 ..., 100+N the script runs ``bench/run.py --trace 0`` once on each side, the
 parent first on even pairs and the change first on odd ones, for the run
 length BENCHMARK.json fixes.  Each per-layer probe in PROBES runs the same
-way, N times a side, each time in a fresh process.
+way, N times a side, each time in a fresh process.  ``--only NAME``, which
+may be repeated, restricts the run to the named workloads and probes; by
+default all of them run.
 
 It writes ``BENCH_<topic>.json``: for each workload and end-to-end metric,
 both sides' runs, median and quartiles (IQR = q3 - q1) and the number of
@@ -100,6 +102,20 @@ assert empirical_min_C(triples, 2) == 0.41127528566033666
 seconds = time.perf_counter() - t0
 work = len(triples)
 """),
+    "sml.decide_zeros.flagship_cap1e6_s": (
+        "decide_zeros on RecurrenceSpec(10, -31, 30, 10^6 + 3, 112, 452) at "
+        "cap 10^6, a scan of 10^6 + 1 terms, after one untimed call at cap 10 "
+        "has warmed the factoring caches",
+        """
+from abckit import RecurrenceSpec, decide_zeros
+spec = RecurrenceSpec(10, -31, 30, 10**6 + 3, 112, 452)
+decide_zeros(spec, cap=10)
+t0 = time.perf_counter()
+verdict = decide_zeros(spec, cap=10**6)
+seconds = time.perf_counter() - t0
+assert (verdict.status, verdict.N, verdict.zeros) == ("NoZerosUpToBound", 10**6, ())
+work = verdict.N + 1
+"""),
     "bounds.thm2_rhs_1000_s": (
         "thm2_rhs at the calibrated C on every primitive triple with H <= 1000",
         """
@@ -184,12 +200,22 @@ def main() -> int:
     parser.add_argument("--topic", required=True)
     parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--seeds", type=int, default=10)
+    parser.add_argument("--only", action="append", metavar="NAME",
+                        help="a workload or probe to run (repeatable; default: all)")
     args = parser.parse_args()
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
+    workloads = [w["name"] for w in spec["workloads"]]
+    probes = list(PROBES)
+    if args.only:
+        unknown = sorted(set(args.only) - set(workloads) - set(probes))
+        if unknown:
+            parser.error(f"--only: no workload or probe named {', '.join(unknown)}")
+        workloads = [name for name in workloads if name in args.only]
+        probes = [name for name in probes if name in args.only]
     parent = _run(["git", "rev-parse", args.parent], ROOT).strip()
     seeds = list(range(FIRST_SEED, FIRST_SEED + args.seeds))
     result = {"topic": args.topic, "environment": _environment(parent),
@@ -202,7 +228,7 @@ def main() -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = {"parent": tmp, "change": ROOT}
-        for name in (w["name"] for w in spec["workloads"]):
+        for name in workloads:
             print(f"workload {name}", file=sys.stderr, flush=True)
             runs = _pairs(trees, len(seeds),
                           lambda tree, i: _bench(tree, name, seeds[i], spec["run_seconds"]))
@@ -215,7 +241,7 @@ def main() -> int:
                                         "failed": sum(r["failed"] for r in rs)}
                                  for side, rs in runs.items()}
             result["end_to_end"][name] = row
-        for name in PROBES:
+        for name in probes:
             print(f"layer {name}", file=sys.stderr, flush=True)
             runs = _pairs(trees, len(seeds), lambda tree, i: _probe(tree, name))
             result["per_layer"][name] = {
