@@ -465,12 +465,17 @@ def _scan_lanes(spec: RecurrenceSpec, total: int, lanes: int) -> list[int]:
     return sorted(candidates)
 
 
+def _lane_count(total: int) -> int:
+    """The number of lanes for a scan of `total` terms."""
+    return min(MAX_LANES, isqrt(total) // 2)
+
+
 def _enumerate_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
     """All n in [0, limit] with a_n = 0.
 
     The sequence is scanned modulo SCAN_MODULUS: one term at a time below
-    LANE_CROSSOVER terms, in min(MAX_LANES, isqrt(limit + 1) // 2) lanes from
-    there on.  Every zero is a candidate, because a_n = 0 implies a_n = 0 mod
+    LANE_CROSSOVER terms, in _lane_count(limit + 1) lanes from there on.
+    Every zero is a candidate, because a_n = 0 implies a_n = 0 mod
     SCAN_MODULUS; each candidate is then kept only if a_n = 0 exactly.  The
     exact state is carried from one candidate to the next, so even a sequence
     whose every term is a candidate costs no more than an exact scan.
@@ -495,7 +500,7 @@ def _enumerate_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
     if total < LANE_CROSSOVER:
         candidates = _scan_scalar(spec, total)
     else:
-        candidates = _scan_lanes(spec, total, min(MAX_LANES, isqrt(total) // 2))
+        candidates = _scan_lanes(spec, total, _lane_count(total))
     zeros = []
     at, state = 0, (spec.a0, spec.a1, spec.a2)
     for n in candidates:
