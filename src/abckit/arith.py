@@ -759,23 +759,39 @@ def canonical_associate(alpha: AlgebraicInt) -> AlgebraicInt:
     return AlgebraicInt(f, x, y)
 
 
+def ideal_gcd_norm(elements, norms=None) -> int:
+    """N(gcd ideal) = prod N(pi)^m(pi), m(pi) the least order of pi in the
+    given nonzero elements of one field, whose |N(x)| are `norms` if known.
+
+    Over Q this is the gcd of the |x|.  Over a quadratic field pi lies over a
+    rational p dividing g = gcd of the |N(x)|, and m(pi) is at most the
+    exponent k of p in g (k // 2 for an inert p): only g is factored, and
+    each pi is divided out of each element at most that often.
+    """
+    if norms is None:
+        norms = [abs(x.norm()) for x in elements]
+    g = gcd(*norms)
+    field = elements[0].field
+    if g == 1 or field.degree == 1:
+        return g
+    common = 1
+    for p, k in _factor_nat(g):
+        for entry in primes_above(field, p):
+            m = k if entry.norm == p else k // 2
+            for x in elements:
+                m = _divide_out(field, x.x, x.y, entry, m)[0]
+                if not m:
+                    break
+            common *= entry.norm**m
+    return common
+
+
 def ideal_coprime(a: AlgebraicInt, b: AlgebraicInt) -> bool:
     """True iff a and b share no prime (ideal gcd is the unit ideal)."""
     if a.is_zero() or b.is_zero():
         raise ZeroInput("coprimality needs nonzero elements")
     a._check_same_field(b)
-    if a.field.degree == 1:
-        return gcd(a.x, b.x) == 1
-    g = gcd(abs(a.norm()), abs(b.norm()))
-    if g == 1:
-        return True
-    field = a.field
-    for p, _ in _factor_nat(g):
-        for cand in primes_above(field, p):
-            if (_quotient(field, a.x, a.y, cand.prime, cand.norm) is not None
-                    and _quotient(field, b.x, b.y, cand.prime, cand.norm) is not None):
-                return False
-    return True
+    return ideal_gcd_norm((a, b)) == 1
 
 
 def prime_ideals_in_norm_order(field: QuadraticField, count: int) -> list[FactorEntry]:

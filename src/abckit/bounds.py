@@ -33,31 +33,22 @@ class BoundConfig:
     """User-supplied effective constants and numeric-guard settings.
 
     C_main stands in for the leading constant of whichever bound is being
-    evaluated; the gyory/lefourn entries parameterize the auxiliary S-unit
-    evaluators whose constants live in the cited references.
+    evaluated.
     """
 
     C_main: float = 1.0
     G_min: float = E_SQUARED_GUARD
-    gyory_C13: float = 1.0
-    gyory_C14: float = 1.0
-    lefourn_C118: float = 1.0
-    lefourn_C119: float = 1.0
     precision_bits: int = 64
     full_exponent: bool = False
 
     def __post_init__(self):
-        positive = ("G_min", "gyory_C13", "gyory_C14", "lefourn_C118", "lefourn_C119")
-        for name in ("C_main", *positive):
+        for name in ("C_main", "G_min"):
             if not math.isfinite(getattr(self, name)):
                 raise BadParameter(f"{name} must be finite")
         # C_main = 0 is allowed: it drops the radical exponent entirely, and
         # the calibrator legitimately returns 0 for datasets that need no help
         if self.C_main < 0:
             raise BadParameter("C_main must be nonnegative")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise BadParameter(f"{name} must be positive")
         if self.G_min <= math.e:
             raise BadParameter("G_min must exceed e")
         if self.precision_bits < 64:
@@ -447,30 +438,37 @@ def landau_min_constant(field: QuadraticField, R: int, prec: int = 64) -> float:
         return float(best)
 
 
+def _check_constants(**constants: float) -> None:
+    for name, value in constants.items():
+        if not (math.isfinite(value) and value > 0):
+            raise BadParameter(f"{name} must be finite and positive")
+
+
 def gyory_sunit_bound(h_alpha: float, h_beta: float, t: int = 0, P: float = 1.0,
-                      R: float = 1.0, R_S: float = 1.0, class_number: int = 1,
-                      config: BoundConfig = DEFAULT_CONFIG) -> float:
+                      R: float = 1.0, R_S: float = 1.0, class_number: int = 1, *,
+                      C13: float = 1.0, C14: float = 1.0) -> float:
     """S-unit height bound shaped like Gyory's Theorem A, with the reference
-    constants supplied through the config (they are not derived here).
+    constants C13 and C14 supplied by the caller (they are not derived here).
 
     t = 0 (no finite places): C13 * max(h_alpha, h_beta, 1).  For t > 0 the
     caller supplies the regulator data; unit-rank-zero fields have R = 1.
     log* means max(log x, 1).
     """
+    _check_constants(C13=C13, C14=C14)
     if t < 0:
         raise BadParameter("t must be nonnegative")
     height_factor = max(h_alpha, h_beta, 1.0)
     if t == 0:
-        return config.gyory_C13 * height_factor
+        return C13 * height_factor
     if P < 1 or R <= 0 or R_S <= 0 or class_number < 1:
         raise BadParameter("P >= 1, R > 0, R_S > 0 and class_number >= 1 required")
 
     def logstar(x: float) -> float:
         return max(math.log(x), 1.0)
 
-    script_r = max(float(class_number), config.gyory_C13 * R)
+    script_r = max(float(class_number), C13 * R)
     return (
-        config.gyory_C14
+        C14
         * class_number
         * R
         * logstar(R)
@@ -483,24 +481,26 @@ def gyory_sunit_bound(h_alpha: float, h_beta: float, t: int = 0, P: float = 1.0,
 
 
 def lefourn_sunit_bound(h_alpha: float, h_beta: float, degree: int, t: int,
-                        R_S: float = 1.0, P3: float = 1.0,
-                        config: BoundConfig = DEFAULT_CONFIG) -> float:
+                        R_S: float = 1.0, P3: float = 1.0, *,
+                        C118: float = 1.0, C119: float = 1.0) -> float:
     """S-unit height bound shaped like the third-largest-norm refinement.
 
     At most two finite places: C118 * R_S * log+(R_S) * H.  Otherwise
     C119 * P3 * R_S * (1 + log+(R_S)/log+(P3)) * H with P3 the third-largest
-    norm among the finite places of S (so P3 >= 2 there).
+    norm among the finite places of S (so P3 >= 2 there).  C118 and C119
+    are the reference constants, supplied by the caller.
     """
+    _check_constants(C118=C118, C119=C119)
     if degree < 1 or t < 0 or R_S <= 0:
         raise BadParameter("degree >= 1, t >= 0 and R_S > 0 required")
     height_factor = max(h_alpha, h_beta, 1.0, math.pi / degree)
     log_plus = lambda x: max(math.log(x), 0.0)  # noqa: E731
     if t <= 2:
-        return config.lefourn_C118 * R_S * log_plus(R_S) * height_factor
+        return C118 * R_S * log_plus(R_S) * height_factor
     if P3 < 2:
         raise BadParameter("with three or more finite places P3 is a prime norm >= 2")
     ratio = 1 + log_plus(R_S) / log_plus(P3)
-    return config.lefourn_C119 * P3 * R_S * ratio * height_factor
+    return C119 * P3 * R_S * ratio * height_factor
 
 
 # ---------------------------------------------------------------------------

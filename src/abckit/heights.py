@@ -6,6 +6,11 @@ with dv = 1 for the real place of Q and dv = 2 for the complex place of an
 imaginary quadratic field.  With this choice H_K = H_Q^[K:Q] on rational
 points, and for integral coordinates both heights are exact rationals:
 |sigma(x)|^2 is the integer norm(x).
+
+The relative Weil height of x = num/den is the log projective height of
+(den : num) (Bombieri-Gubler, Heights in Diophantine Geometry, 1.5), so
+weil_height is log_projective_height of that point, and both factor only
+the gcd of the norms of the coordinates (arith.ideal_gcd_norm).
 """
 
 from __future__ import annotations
@@ -22,10 +27,8 @@ from .arith import (
     QuadraticField,
     RATIONALS,
     _entry_key,
-    _divide_out,
-    _factor_nat,
     factor_element,
-    primes_above,
+    ideal_gcd_norm,
 )
 from .errors import AllZero, BadParameter, ZeroInput
 
@@ -68,24 +71,19 @@ def _as_element(value, field: QuadraticField | None) -> AlgebraicInt:
     raise BadParameter(f"cannot interpret {value!r} as a field element")
 
 
-def _merged_ords(num: AlgebraicInt, den: AlgebraicInt) -> list[FactorEntry]:
-    """The primes of num/den with their nonzero orders, in prime order."""
-    ords = {entry.prime: entry for entry in factor_element(num)}
-    for entry in factor_element(den):
-        old = ords[entry.prime].exponent if entry.prime in ords else 0
-        ords[entry.prime] = FactorEntry(entry.prime, old - entry.exponent, entry.norm)
-    return sorted((e for e in ords.values() if e.exponent != 0), key=_entry_key)
-
-
 def places(num, den=None, field: QuadraticField | None = None) -> list[PlaceValue]:
     """All places where num/den has a local value != 1, plus the infinite place."""
     num = _as_element(num, field)
     den = _as_element(den if den is not None else 1, num.field)
     if num.is_zero() or den.is_zero():
         raise ZeroInput("places of 0 are not defined")
+    ords = {e.prime: e for e in factor_element(num)}
+    for e in factor_element(den):
+        old = ords[e.prime].exponent if e.prime in ords else 0
+        ords[e.prime] = FactorEntry(e.prime, old - e.exponent, e.norm)
     out = [
         PlaceValue(kind="finite", prime=e.prime, norm=e.norm, exponent=e.exponent)
-        for e in _merged_ords(num, den)
+        for e in sorted(ords.values(), key=_entry_key) if e.exponent
     ]
     if num.field.degree == 1:
         sq = Fraction(num.x * num.x, den.x * den.x)
@@ -107,27 +105,16 @@ def weil_height(num, den=None, field: QuadraticField | None = None,
                 prec: int = DEFAULT_PREC) -> float:
     """Relative logarithmic Weil height of num/den over its ambient field.
 
-    Sum of log+ of the normalized local values; equals degree times the
-    absolute height, and vanishes exactly on the roots of unity.
+    The sum of log+ of the normalized local values, which is the log
+    projective height of (den : num); so neither num nor den is factored,
+    only the gcd of their norms.  Equals degree times the absolute height,
+    and vanishes exactly on the roots of unity.
     """
     num = _as_element(num, field)
     den = _as_element(den if den is not None else 1, num.field)
     if num.is_zero() or den.is_zero():
         raise ZeroInput("height of 0 is not defined here")
-    with mp.workprec(prec):
-        total = mp.mpf(0)
-        for entry in _merged_ords(num, den):
-            if entry.exponent < 0:
-                total += -entry.exponent * mp.log(entry.norm)
-        # infinite place: log+ |sigma|^dv, exact via integer norms
-        n_num, n_den = abs(num.norm()), abs(den.norm())
-        if num.field.degree == 1:
-            inf = mp.log(abs(num.x)) - mp.log(abs(den.x))
-        else:
-            inf = mp.log(n_num) - mp.log(n_den)
-        if inf > 0:
-            total += inf
-        return float(total)
+    return log_projective_height([den, num], num.field, prec)
 
 
 def absolute_weil_height(num, den=None, field: QuadraticField | None = None,
@@ -145,12 +132,9 @@ def projective_height(coords, field: QuadraticField | None = None) -> Fraction:
     integer coordinates it is max |x_i|.  Fraction inputs over Q are cleared
     to a common denominator first (the height does not change).
 
-    The finite places contribute 1 / prod N(pi)^m(pi), where m(pi) is the
-    least order of pi in a nonzero coordinate.  Over Q that product is the
-    gcd of the |x_i|.  Over a quadratic field, a prime dividing every
-    coordinate lies over a rational p dividing g = gcd of the |N(x_i)|, with
-    m(pi) at most the exponent of p in g (half of it for an inert p).  So
-    only g is factored, and a coprime triple (g = 1) factors nothing.
+    The finite places contribute 1 / N(gcd ideal) = 1 / prod N(pi)^m(pi),
+    where m(pi) is the least order of pi in a nonzero coordinate, and the
+    infinite place max |N(x_i)|: over Q both come from |x_i| = |N(x_i)|.
     """
     if field is None:
         for c in coords:
@@ -174,18 +158,8 @@ def projective_height(coords, field: QuadraticField | None = None) -> Fraction:
     if not nonzero:
         raise AllZero("projective height needs a nonzero coordinate")
 
-    if field.degree == 1:
-        sizes = [abs(c.x) for c in nonzero]
-        return Fraction(max(sizes), gcd(*sizes))
     sizes = [abs(c.norm()) for c in nonzero]
-    common = 1
-    for p, k in _factor_nat(gcd(*sizes)):
-        for entry in primes_above(field, p):
-            m = k if entry.norm == p else k // 2
-            for c in nonzero:
-                m = _divide_out(field, c.x, c.y, entry, m)[0]
-            common *= entry.norm**m
-    return Fraction(max(sizes), common)
+    return Fraction(max(sizes), ideal_gcd_norm(nonzero, sizes))
 
 
 def log_projective_height(coords, field: QuadraticField | None = None,

@@ -102,7 +102,8 @@ def make_triple(a, b, c, field: QuadraticField | None = None) -> AbcTriple:
         raise ZeroCoordinate("all three coordinates must be nonzero")
     if not (a + b + c).is_zero():
         raise SumNotZero(f"{a} + {b} + {c} != 0")
-    if not (ideal_coprime(a, b) and ideal_coprime(a, c) and ideal_coprime(b, c)):
+    # with a + b + c = 0 a prime dividing two coordinates divides the third
+    if not ideal_coprime(a, b):
         raise NotCoprime("coordinates must be pairwise coprime as ideals")
     fa, fb, fc = factor_element(a), factor_element(b), factor_element(c)
     # coprimality means the three prime sets are disjoint, so the radical is

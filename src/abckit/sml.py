@@ -45,6 +45,7 @@ from mpmath import mp
 HARD_ENUMERATION_LIMIT = 10**9
 DEFAULT_CAP = 10**6
 SCAN_MODULUS = (1 << 61) - 1  # a Mersenne prime: a_n = 0 implies a_n = 0 mod it
+CHECK_MODULUS = (1 << 127) - 1  # a second Mersenne prime, to recheck candidates
 LANE_BYTES = 16  # one 128-bit field per lane of the scan
 LANE_CROSSOVER = 1024  # scans of fewer terms run one term at a time
 MAX_LANES = 1024
@@ -476,9 +477,10 @@ def _enumerate_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
     The sequence is scanned modulo SCAN_MODULUS: one term at a time below
     LANE_CROSSOVER terms, in _lane_count(limit + 1) lanes from there on.
     Every zero is a candidate, because a_n = 0 implies a_n = 0 mod
-    SCAN_MODULUS; each candidate is then kept only if a_n = 0 exactly.  The
-    exact state is carried from one candidate to the next, so even a sequence
-    whose every term is a candidate costs no more than an exact scan.
+    SCAN_MODULUS, and passes a recheck mod CHECK_MODULUS for the same reason;
+    a candidate that passes is kept only if a_n = 0 exactly.  The exact
+    state moves only from one passing candidate to the next: a false one
+    costs a modular jump, and no sequence costs more than an exact scan.
 
     Both choices depend on limit alone.  Best-of-n times of the two scans
     for RecurrenceSpec(10, -31, 30, 10^6 + 3, 112, 452) on a 2-vCPU Xeon,
@@ -503,7 +505,12 @@ def _enumerate_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
         candidates = _scan_lanes(spec, total, _lane_count(total))
     zeros = []
     at, state = 0, (spec.a0, spec.a1, spec.a2)
+    checked_at, checked = 0, tuple(a % CHECK_MODULUS for a in state)
     for n in candidates:
+        checked = _state_at(spec, n - checked_at, CHECK_MODULUS, checked)
+        checked_at = n
+        if checked[0]:
+            continue
         state = _state_at(spec, n - at, state=state)
         at = n
         if state[0] == 0:

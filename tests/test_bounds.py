@@ -350,11 +350,16 @@ class TestYuBound:
                            ([1.0], math.inf)):
             with pytest.raises(BadParameter):
                 yu_ord_bound(1, 1, 1, 2, heights, B)
-        for name in ("C_main", "G_min", "gyory_C13", "gyory_C14",
-                     "lefourn_C118", "lefourn_C119"):
-            for value in (math.nan, math.inf):
+        for value in (math.nan, math.inf):
+            for name in ("C_main", "G_min"):
                 with pytest.raises(BadParameter):
                     BoundConfig(**{name: value})
+            for name in ("C13", "C14"):
+                with pytest.raises(BadParameter):
+                    gyory_sunit_bound(2.0, 3.0, **{name: value})
+            for name in ("C118", "C119"):
+                with pytest.raises(BadParameter):
+                    lefourn_sunit_bound(1.0, 2.0, degree=2, t=1, **{name: value})
 
 
 class TestTidyBound:
@@ -416,6 +421,7 @@ class TestSUnitEvaluators:
     def test_gyory_no_finite_places(self):
         assert gyory_sunit_bound(2.0, 3.0) == pytest.approx(3.0)
         assert gyory_sunit_bound(0.1, 0.2) == pytest.approx(1.0)  # max with 1
+        assert gyory_sunit_bound(2.0, 3.0, C13=2.0) == pytest.approx(6.0)
 
     def test_gyory_with_finite_places(self):
         v1 = gyory_sunit_bound(2.0, 3.0, t=1, P=7.0, R=2.0, R_S=2.0)
@@ -423,13 +429,20 @@ class TestSUnitEvaluators:
         assert 0 < v1 < v2  # extra places only enlarge the bound
 
     def test_lefourn_branches(self):
-        small = lefourn_sunit_bound(1.0, 2.0, degree=2, t=1, R_S=3.0)
-        assert small == pytest.approx(DEFAULT_CONFIG.lefourn_C118 * 3.0 * math.log(3.0) * 2.0)
+        small = lefourn_sunit_bound(1.0, 2.0, degree=2, t=1, R_S=3.0, C118=2.5)
+        assert small == pytest.approx(2.5 * 3.0 * math.log(3.0) * 2.0)
         general = lefourn_sunit_bound(1.0, 2.0, degree=2, t=3, R_S=3.0, P3=5.0)
         expected = 5.0 * 3.0 * (1 + math.log(3.0) / math.log(5.0)) * 2.0
         assert general == pytest.approx(expected)
         with pytest.raises(BadParameter):
             lefourn_sunit_bound(1.0, 2.0, degree=2, t=3, R_S=3.0, P3=1.0)
+
+    def test_constants_must_be_positive(self):
+        for value in (0.0, -1.0):
+            with pytest.raises(BadParameter):
+                gyory_sunit_bound(2.0, 3.0, C14=value)
+            with pytest.raises(BadParameter):
+                lefourn_sunit_bound(1.0, 2.0, degree=2, t=3, P3=5.0, C119=value)
 
 
 class TestCalibration:

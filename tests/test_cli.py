@@ -108,6 +108,12 @@ class TestCommands:
         code, _, err = run(capsys, ["radical", "--field", "Q", "--a", "1", "--b", "8"])
         assert code == 1
 
+    def test_height_of_a_hard_semiprime(self, capsys):
+        # (2^61 - 1)(2^64 - 59) is past rho's cap; the height factors nothing
+        code, out, _ = run(capsys, ["height", "--num",
+                                    "42535295865117307778430344311653531707"])
+        assert code == 0 and out == "h = 86.64339757\n"
+
     def test_height_ratio(self, capsys):
         code, out, _ = run(capsys, ["height", "--field", "Q", "--num", "3", "--den", "2"])
         assert code == 0 and "1.09861228867" in out
@@ -250,6 +256,14 @@ class TestConfigFiles:
             code, _, err = run(capsys, ["calibrate", "--theorem", "2", "--H-limit", "10",
                                         "--config", os.fspath(path)])
             assert code == 1 and "unknown config key" in err
+
+    def test_sunit_constants_are_not_config_keys(self, capsys, tmp_path):
+        # the S-unit evaluators take these as parameters; no command reads them
+        path = tmp_path / "run.cfg"
+        for key in ("gyory_C13", "gyory_C14", "lefourn_C118", "lefourn_C119"):
+            path.write_text(f"{key} = 2.0\n")
+            code, _, err = run(capsys, SML_FLAGSHIP + ["--config", os.fspath(path)])
+            assert code == 1 and f"unknown config key: {key}" in err
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         path = os.fspath(tmp_path / "missing.cfg")

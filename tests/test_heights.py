@@ -5,6 +5,7 @@ import pytest
 
 from abckit import (
     AlgebraicInt,
+    QuadraticField,
     RATIONALS,
     absolute_weil_height,
     factor_element,
@@ -64,6 +65,12 @@ class TestWeilHeight:
                 # H(den, num) is the projective form of (1, num/den)
                 log_h = log_projective_height([den, num], f)
                 assert abs(h - log_h) < 1e-9
+
+
+    def test_common_factors_cancel_exactly(self):
+        f = QuadraticField(-11)
+        a, b = AlgebraicInt(f, -6920, 8384), AlgebraicInt(f, 7308, 652)
+        assert weil_height(a * b * b, b * b) == weil_height(a * b, b) == weil_height(a)
 
 
 class TestProductFormula:

@@ -1,3 +1,4 @@
+import itertools
 from math import gcd
 
 import pytest
@@ -63,8 +64,13 @@ class TestMakeTriple:
             make_triple(1, 2, 3)
         with pytest.raises(ZeroCoordinate):
             make_triple(0, 2, -2)
-        with pytest.raises(NotCoprime):
-            make_triple(2, 4, -6)
+        # a prime shared by two coordinates divides the third, so each
+        # order of the coordinates is caught
+        pi = AlgebraicInt(QuadraticField(-1), 2, 1)
+        for coords in ((2, 4, -6), (pi * 3, pi * pi, -(pi * 3 + pi * pi))):
+            for order in itertools.permutations(coords):
+                with pytest.raises(NotCoprime):
+                    make_triple(*order)
         with pytest.raises(UnsupportedField):
             make_triple(1, 1, -2, QuadraticField(-10))
 

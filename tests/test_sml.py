@@ -28,6 +28,7 @@ from abckit.errors import (
     RootsNotCoprime,
     UnsupportedField,
 )
+from abckit import sml
 from abckit.arith import primes_upto
 from abckit.sml import (
     LANE_CROSSOVER,
@@ -509,6 +510,23 @@ class TestModularScan:
             assert _scan_lanes(spec, limit + 1, _lane_count(limit + 1)) == \
                 list(range(limit + 1))
             assert _enumerate_zeros(spec, limit) == (1,) == exact_zeros(spec, limit)
+
+
+    def test_false_candidate_far_out_needs_no_exact_jump(self, monkeypatch):
+        # a_n = 0 mod SCAN_MODULUS at n = 999,995 but a_n != 0: the recheck
+        # modulo a second prime drops it before any exact jump
+        spec = planted_candidate((10, -31, 30), 31, 452, 999_995)
+        assert 999_995 in _scan_lanes(spec, 10**6 + 1, _lane_count(10**6 + 1))
+        exact_jumps = []
+
+        def counting_state_at(spec, n, modulus=None, state=None):
+            if modulus is None:
+                exact_jumps.append(n)
+            return _state_at(spec, n, modulus, state)
+
+        monkeypatch.setattr(sml, "_state_at", counting_state_at)
+        assert _enumerate_zeros(spec, 10**6) == ()
+        assert exact_jumps == []
 
 
 class TestLaneScan:
