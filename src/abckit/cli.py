@@ -258,7 +258,10 @@ def _cmd_corollary(args) -> int:
 
 
 def _cmd_yu_bound(args) -> int:
-    heights = [float(h) for h in args.heights.split(",")] if args.heights else []
+    try:
+        heights = [float(h) for h in args.heights.split(",")] if args.heights else []
+    except ValueError as exc:
+        raise BadParameter(f"--heights must be comma-separated numbers: {exc}") from exc
     value = bounds.yu_ord_bound(args.n, args.degree, args.e_p, args.norm_p,
                                 heights, args.B)
     print(fmt(value))

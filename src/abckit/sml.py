@@ -3,7 +3,8 @@
 Pipeline: characteristic polynomial -> exact roots (rational, or one rational
 plus a conjugate pair in an admissible imaginary quadratic field) -> degeneracy
 gate -> exact closed-form coefficients -> denominator clearing and common-prime
-stripping -> radical-based bound on the last possible zero -> a scan of the
+stripping, whose factorizations also give the radical G -> the bound on the
+last possible zero from G -> a scan of the
 sequence modulo the prime 2^61 - 1 up to that bound, in which every candidate
 zero is confirmed in exact integer arithmetic before it is reported.
 
@@ -16,7 +17,7 @@ The scan runs in one process.  Past a thousand or so terms it advances up to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor, gcd, isinf, isqrt
+from math import ceil, floor, gcd, isinf, isqrt, lcm, prod
 
 from .arith import (
     AlgebraicInt,
@@ -24,8 +25,8 @@ from .arith import (
     RATIONALS,
     _entry_key,
     _factor_nat,
+    canonical_associate,
     factor_element,
-    ideal_coprime,
 )
 from .bounds import BoundConfig, DEFAULT_CONFIG, exponent_term
 from .errors import (
@@ -165,17 +166,13 @@ def find_roots(cubic: tuple[int, int, int, int]) -> tuple[tuple[AlgebraicInt, ..
 
 
 def degeneracy_check(roots: tuple[AlgebraicInt, ...]) -> bool:
-    """True iff some ratio of distinct roots is a root of unity.
+    """True iff some ratio of distinct nonzero roots is a root of unity.
 
-    In the supported rings the roots of unity are exactly the units, so the
-    test is r_i = u * r_j for a listed unit u.
+    In the supported rings the roots of unity are exactly the units, so a
+    ratio is one exactly when the two roots are associates, that is, when
+    they have the same canonical associate.
     """
-    units = roots[0].field.units()
-    for i in range(len(roots)):
-        for j in range(len(roots)):
-            if i != j and any(roots[i] == u * roots[j] for u in units):
-                return True
-    return False
+    return len({canonical_associate(r) for r in roots}) < len(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +189,9 @@ class FieldRatio:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def __add__(self, other: "FieldRatio") -> "FieldRatio":
-        lcm = self.den * other.den // gcd(self.den, other.den)
-        num = self.num * (lcm // self.den) + other.num * (lcm // other.den)
-        return _ratio(num, lcm)
+        den = lcm(self.den, other.den)
+        return _ratio(self.num * (den // self.den) + other.num * (den // other.den), den)
 
     def __mul__(self, other) -> "FieldRatio":
         if isinstance(other, FieldRatio):
@@ -221,38 +214,23 @@ def _ratio(num: AlgebraicInt, den: int) -> FieldRatio:
     return FieldRatio(num, den)
 
 
-def _det3(m: list[list[AlgebraicInt]]) -> AlgebraicInt:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def solve_coefficients(roots: tuple[AlgebraicInt, ...], a0: int, a1: int,
                        a2: int) -> tuple[FieldRatio, FieldRatio, FieldRatio]:
-    """Exact solution k of the Vandermonde system sum_i k_i r_i^n = a_n, n = 0, 1, 2."""
-    field = roots[0].field
-    one = AlgebraicInt(field, 1, 0)
-    rows = [
-        [one, one, one],
-        list(roots),
-        [r * r for r in roots],
-    ]
-    det = _det3(rows)
-    if det.is_zero():
-        raise SingularSystem("coincident roots make the Vandermonde matrix singular")
-    targets = [AlgebraicInt(field, a, 0) for a in (a0, a1, a2)]
+    """Exact solution k of the Vandermonde system sum_i k_i r_i^n = a_n, n = 0, 1, 2.
+
+    In Lagrange form k_i = (a2 - (r_j + r_l) a1 + r_j r_l a0) / ((r_i - r_j)(r_i - r_l))
+    for {i, j, l} = {0, 1, 2}; over a quadratic field the quotient num / den
+    is num conj(den) / N(den).
+    """
     out = []
-    denom = det.norm() if field.degree == 2 else det.x
-    conj = det.conjugate() if field.degree == 2 else one
-    for col in range(3):
-        replaced = [
-            [targets[i] if j == col else rows[i][j] for j in range(3)]
-            for i in range(3)
-        ]
-        num = _det3(replaced) * conj if field.degree == 2 else _det3(replaced)
-        out.append(_ratio(num, denom))
+    for i in range(3):
+        rj, rl = roots[i - 1], roots[i - 2]
+        den = (roots[i] - rj) * (roots[i] - rl)
+        if den.is_zero():
+            raise SingularSystem("coincident roots make the Vandermonde matrix singular")
+        num = AlgebraicInt(den.field, a2, 0) - (rj + rl) * a1 + rj * rl * a0
+        out.append(_ratio(num * den.conjugate(), den.norm()) if den.field.degree == 2
+                   else _ratio(num, den.x))
     return tuple(out)
 
 
@@ -280,8 +258,14 @@ class StripEvent:
 
 @dataclass(frozen=True)
 class StripCertificate:
+    """The strip's events, and n0: from this index on, the stripped terms are
+    pairwise coprime.  G is the radical of the stripped terms k_i r_i^n: the
+    product of the distinct prime norms of the roots and of the primes left
+    in some k_i after the strip."""
+
     events: tuple[StripEvent, ...]
-    n0: int  # from this index on, the stripped terms are pairwise coprime
+    n0: int
+    G: int
 
 
 def strip_common_primes(
@@ -294,15 +278,18 @@ def strip_common_primes(
     whose root is coprime to q.  A coordinate whose k cannot absorb the whole
     division has the shortfall covered by its root's power once n >= n0, which
     the certificate records (smaller n are checked directly by decide_zeros).
+    Each k and each root is factored once; the certificate's G, the radical
+    of the stripped terms, comes from those factorizations.
     """
     if any(v.is_zero() for v in k):
         raise BadParameter("closed-form coefficients must be nonzero")
+    fr = [factor_element(v) for v in r]
+    prime_sets = [set(fac.primes()) for fac in fr]
     for i in range(3):
         for j in range(i + 1, 3):
-            if not ideal_coprime(r[i], r[j]):
+            if prime_sets[i] & prime_sets[j]:
                 raise RootsNotCoprime(f"roots {r[i]} and {r[j]} share a prime")
     fk = [factor_element(v) for v in k]
-    fr = [factor_element(v) for v in r]
     seen = {entry.prime: entry for fac in fk for entry in fac}
     events: list[StripEvent] = []
     strip_amount = [dict(), dict(), dict()]
@@ -333,8 +320,13 @@ def strip_common_primes(
             for _ in range(amount):
                 v = v.exact_div(q)
         stripped.append(v)
+    norms = {entry.prime: entry.norm for fac in fr for entry in fac}
+    for i, fac in enumerate(fk):
+        for entry in fac:
+            if entry.exponent > strip_amount[i].get(entry.prime, 0):
+                norms[entry.prime] = entry.norm
     n0 = max((ev.n0 for ev in events), default=0)
-    return tuple(stripped), StripCertificate(tuple(events), n0)
+    return tuple(stripped), StripCertificate(tuple(events), n0, prod(norms.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +522,10 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
         raise BadParameter(f"cap must be nonnegative, got {cap}")
     try:
         roots, field = find_roots(char_poly(spec))
-    except RepeatedRoots as exc:
-        return SmlVerdict(status="Unsupported", C=config.C_main, reason=str(exc))
-    except UnsupportedField as exc:
+    except (RepeatedRoots, UnsupportedField) as exc:
         return SmlVerdict(status="Unsupported", C=config.C_main, reason=str(exc))
 
-    heights = sorted(weil_height(r, prec=config.precision_bits) for r in roots)
+    h_max = max(weil_height(r, prec=config.precision_bits) for r in roots)
     if degeneracy_check(roots):
         return SmlVerdict(
             status="Degenerate", C=config.C_main,
@@ -552,22 +542,10 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
             reason="a closed-form coefficient vanishes; the three-term bound "
                    "does not apply",
         )
-    denominator_lcm = 1
-    for k in ks:
-        denominator_lcm = denominator_lcm * k.den // gcd(denominator_lcm, k.den)
+    denominator_lcm = lcm(*(k.den for k in ks))
     cleared = tuple(k.num * (denominator_lcm // k.den) for k in ks)
-
-    stripped, certificate = strip_common_primes(cleared, roots)
-
-    primes: dict[AlgebraicInt, int] = {}
-    for value in (*stripped, *roots):
-        for entry in factor_element(value):
-            primes.setdefault(entry.prime, entry.norm)
-    G = 1
-    for norm in primes.values():
-        G *= norm
-
-    h_max = heights[-1]
+    certificate = strip_common_primes(cleared, roots)[1]
+    G = certificate.G
     bound = zero_bound(G, h_max, config)
     truncated = False
     reason = ""

@@ -158,6 +158,13 @@ class TestCommands:
                                     "--heights", "1.0986122886681098", "--B", "3"])
         assert code == 0 and out.strip().startswith("8637275.235")
 
+    def test_yu_bound_non_numeric_height(self, capsys):
+        code, out, err = run(capsys, ["yu-bound", "--n", "1", "--degree", "1",
+                                      "--e-p", "1", "--norm-p", "2",
+                                      "--heights", "1,abc", "--B", "3"])
+        assert code == 1 and out == ""
+        assert err.startswith("input error: --heights") and "Traceback" not in err
+
     def test_tidy(self, capsys):
         code, out, _ = run(capsys, ["tidy", "--x", "10"])
         assert code == 0 and out.strip() == "46.0517018599"
@@ -413,7 +420,8 @@ def _argv(draw, out_path: str) -> list[str]:
             argv.append(f"--form={draw(st.integers(0, 3))}")
         return argv + draw(_config_args())
     if command == "yu-bound":
-        heights = draw(st.lists(_floats(0, 100), min_size=1, max_size=3))
+        heights = draw(st.lists(_mostly(_floats(0, 100), st.sampled_from(["abc", "", "1e"])),
+                                min_size=1, max_size=3))
         n = draw(_mostly(st.just(len(heights))))
         return [command, f"--n={n}", f"--degree={draw(_mostly(st.integers(1, 4)))}",
                 f"--e-p={draw(_mostly(st.integers(1, 4)))}",

@@ -26,10 +26,11 @@ from abckit.errors import (
     DegenerateHeight,
     RepeatedRoots,
     RootsNotCoprime,
+    SingularSystem,
     UnsupportedField,
 )
 from abckit import sml
-from abckit.arith import primes_upto
+from abckit.arith import factor_element, primes_upto
 from abckit.sml import (
     LANE_CROSSOVER,
     SCAN_MODULUS,
@@ -42,6 +43,8 @@ from abckit.sml import (
     _state_at,
     closed_form_value,
 )
+
+from conftest import ALL_FIELDS, GAUSSIAN
 
 Q = RATIONALS
 FLAGSHIP = RecurrenceSpec(10, -31, 30, 31, 112, 452)
@@ -121,6 +124,31 @@ class TestFindRoots:
                 assert val.is_zero()
 
 
+def elements(field: QuadraticField, bound: int) -> st.SearchStrategy:
+    """Nonzero elements of `field` with coordinates in [-bound, bound]."""
+    ys = st.just(0) if field.degree == 1 else st.integers(-bound, bound)
+    return st.builds(lambda x, y: AlgebraicInt(field, x, y),
+                     st.integers(-bound, bound), ys).filter(lambda v: not v.is_zero())
+
+
+def degenerate_by_units(roots: tuple[AlgebraicInt, ...]) -> bool:
+    """The reference predicate: r_i = u r_j for some i != j and a listed unit u."""
+    units = roots[0].field.units()
+    return any(roots[i] == u * roots[j]
+               for i in range(3) for j in range(3) if i != j for u in units)
+
+
+@st.composite
+def root_triples(draw) -> tuple[AlgebraicInt, ...]:
+    """Three nonzero roots of one field; often two of them are made associates."""
+    field = draw(st.sampled_from(ALL_FIELDS))
+    roots = [draw(elements(field, 6)) for _ in range(3)]
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(3)))[:2]
+        roots[j] = draw(st.sampled_from(field.units())) * roots[i]
+    return tuple(roots)
+
+
 class TestDegeneracy:
     def test_examples(self):
         assert degeneracy_check((q_int(1), q_int(-1), q_int(2))) is True
@@ -129,6 +157,21 @@ class TestDegeneracy:
         assert degeneracy_check(
             (AlgebraicInt(gi, 1, 0), AlgebraicInt(gi, 0, 1), AlgebraicInt(gi, 2, 0))
         ) is True
+
+    @pytest.mark.parametrize("d", [-1, -3])
+    def test_every_unit_and_every_pair(self, d):
+        # 4 units in Z[i], 6 for d = -3; a and b are not associates
+        field = QuadraticField(d)
+        a, b = AlgebraicInt(field, 2, 1), AlgebraicInt(field, 3, 0)
+        assert degeneracy_check((a, b, b + a)) is False
+        for u in field.units():
+            for roots in ((a, u * a, b), (a, b, u * a), (b, a, u * a)):
+                assert degeneracy_check(roots) is True == degenerate_by_units(roots)
+
+    @settings(max_examples=200, deadline=None)
+    @given(roots=root_triples())
+    def test_matches_the_unit_loop(self, roots):
+        assert degeneracy_check(roots) == degenerate_by_units(roots)
 
 
 class TestSolveCoefficients:
@@ -155,6 +198,15 @@ class TestSolveCoefficients:
             a_n = recurrence_values(RecurrenceSpec(10, -31, 30, 1, 1, 1), n + 1)[n]
             assert v.num == q_int(a_n * v.den)
 
+    @pytest.mark.parametrize("order", [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+    def test_coincident_roots_are_singular(self, order):
+        rational = (q_int(2), q_int(3))
+        with pytest.raises(SingularSystem):
+            solve_coefficients(tuple(rational[i] for i in order), 1, 2, 3)
+        gaussian = (AlgebraicInt(GAUSSIAN, 1, 2), AlgebraicInt(GAUSSIAN, 3, 0))
+        with pytest.raises(SingularSystem):
+            solve_coefficients(tuple(gaussian[i] for i in order), 1, 0, 0)
+
     def test_quadratic_field_solution_is_exact(self):
         roots, field = find_roots((1, -2, 4, -3))  # 1 and (1 +- sqrt(-11))/2
         assert field.d == -11
@@ -163,6 +215,25 @@ class TestSolveCoefficients:
             for n, a_n in enumerate(target):
                 v = closed_form_value(ks, roots, n)
                 assert v.num == AlgebraicInt(field, a_n * v.den, 0)
+
+
+def radical_by_refactoring(stripped, roots) -> int:
+    """The reference radical: every stripped k and every root factored anew."""
+    norms = {}
+    for value in (*stripped, *roots):
+        for entry in factor_element(value):
+            norms.setdefault(entry.prime, entry.norm)
+    return math.prod(norms.values())
+
+
+@st.composite
+def strip_inputs(draw):
+    """Coefficients with a planted common factor, and three roots, in one field."""
+    field = draw(st.sampled_from(ALL_FIELDS))
+    common = draw(elements(field, 4))
+    k = tuple(common * draw(elements(field, 30)) for _ in range(3))
+    r = tuple(draw(elements(field, 12)) for _ in range(3))
+    return k, r
 
 
 class TestStripCommonPrimes:
@@ -223,6 +294,19 @@ class TestStripCommonPrimes:
         )
         assert cert.n0 == 0 and len(cert.events) == 1
         assert cert.events[0].norm == 4  # 2 is inert, so its norm is 4
+        # the stripped k's are units and associates of w and 1 - w, the primes above 3
+        assert cert.G == radical_by_refactoring(stripped, r) == 9
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=strip_inputs())
+    def test_radical_matches_refactoring(self, inputs):
+        k, r = inputs
+        if not all(ideal_coprime(r[i], r[j]) for i, j in ((0, 1), (0, 2), (1, 2))):
+            with pytest.raises(RootsNotCoprime):
+                strip_common_primes(k, r)
+            return
+        stripped, cert = strip_common_primes(k, r)
+        assert cert.G == radical_by_refactoring(stripped, r)
 
     def test_no_prime_divides_all_three_terms_afterwards(self, rng):
         for _ in range(100):
@@ -284,6 +368,18 @@ class TestDecideZeros:
         assert verdict.zeros == ()
         assert abs(verdict.N - zero_bound(30030, math.log(5))) <= 1
         assert elapsed < 1.0
+
+    def test_factors_each_value_once(self, monkeypatch):
+        # three roots and three coefficients, each factored once
+        calls = []
+
+        def counting_factor_element(value):
+            calls.append(value)
+            return factor_element(value)
+
+        monkeypatch.setattr(sml, "factor_element", counting_factor_element)
+        assert decide_zeros(FLAGSHIP).G == 30030
+        assert len(calls) == len(set(calls)) == 6
 
     def test_constructed_zero(self):
         verdict = decide_zeros(RecurrenceSpec(10, -31, 30, 1, 0, -12))

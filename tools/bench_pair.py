@@ -116,6 +116,30 @@ seconds = time.perf_counter() - t0
 assert (verdict.status, verdict.N, verdict.zeros) == ("NoZerosUpToBound", 10**6, ())
 work = verdict.N + 1
 """),
+    "sml.decide_zeros.catalogue_algebra_s": (
+        "decide_zeros at cap 0 over the 450 specs of the recurrence_batch "
+        "catalogue, errors caught, so a scan covers at most max(n0, 2) + 1 "
+        "terms and the algebra (roots, coefficients, stripping, radical) "
+        "dominates; after one untimed pass has warmed the lru_caches",
+        """
+from abckit import RecurrenceSpec, decide_zeros
+from abckit.errors import AbckitError
+from generators import load_reference
+specs = [item["spec"] for item in load_reference("recurrence_batch")["catalogue"]]
+
+def decide_all():
+    for spec in specs:
+        try:
+            decide_zeros(RecurrenceSpec(*spec), cap=0)
+        except AbckitError:
+            pass
+
+decide_all()
+t0 = time.perf_counter()
+decide_all()
+seconds = time.perf_counter() - t0
+work = len(specs)
+"""),
     "bounds.thm2_rhs_1000_s": (
         "thm2_rhs at the calibrated C on every primitive triple with H <= 1000",
         """
