@@ -4,14 +4,21 @@ Supported fields are Q and Q(sqrt(d)) for d in {-1, -2, -3, -7, -11, -19,
 -43, -67, -163}.  Every ring of integers here is a PID with a finite unit
 group, so prime ideals are represented by canonical prime elements and all
 factorizations reassemble exactly.
+
+Elements are x + y*w.  With D the field discriminant, the ring of integers
+is Z[w] for w = (t + sqrt(D))/2, and every ring formula follows from the one
+rule w^2 = t*w + n, where t = D mod 4 and n = (D - t)/4 (Cohen, GTM 138,
+5.2).  That is t = 1 and n = (d - 1)/4 when d = 1 mod 4, and t = 0 and n = d
+otherwise; Q has t = n = 0 and y = 0 throughout.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
@@ -35,11 +42,13 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 class QuadraticField:
     """Q (d is None) or the imaginary quadratic field Q(sqrt(d)), class number one.
 
-    The ring of integers is Z[omega] with omega = sqrt(d) when d = 2, 3 mod 4
-    and omega = (1 + sqrt(d))/2 when d = 1 mod 4.
+    The ring of integers is Z[omega] with omega^2 = t*omega + n: t and n are
+    derived from d, not options, and take no part in equality or hashing.
     """
 
     d: int | None = None
+    t: int = dataclass_field(init=False, repr=False, compare=False)
+    n: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d is not None and self.d not in CLASS_NUMBER_ONE_D:
@@ -47,6 +56,10 @@ class QuadraticField:
                 f"d={self.d}: only Q and the class-number-one imaginary "
                 f"quadratic fields {CLASS_NUMBER_ONE_D} are supported"
             )
+        # n = (D - t)/4 with t = D mod 4; Q takes D = 0, so t = n = 0 there
+        n, t = divmod(0 if self.d is None else self.disc, 4)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "n", n)
 
     @property
     def degree(self) -> int:
@@ -63,32 +76,21 @@ class QuadraticField:
             return 1
         return self.d if self.d % 4 == 1 else 4 * self.d
 
-    @property
-    def omega_is_half_integral(self) -> bool:
-        return self.d is not None and self.d % 4 == 1
-
     def omega_complex(self) -> complex:
         if self.d is None:
             raise UnsupportedField("Q has no ring generator")
-        root = complex(0.0, abs(self.d) ** 0.5)
-        return (1 + root) / 2 if self.omega_is_half_integral else root
+        return complex(self.t, abs(self.disc) ** 0.5) / 2
 
     def units(self) -> tuple["AlgebraicInt", ...]:
-        """Roots of unity in the ring: 2 of them except d=-1 (4) and d=-3 (6)."""
+        """Roots of unity in the ring: the powers of omega when omega is a unit
+        (n = -1: d = -1 gives 4, d = -3 gives 6), else 1 and -1."""
         one = AlgebraicInt(self, 1, 0)
-        minus = AlgebraicInt(self, -1, 0)
-        if self.d == -1:
-            return (one, AlgebraicInt(self, 0, 1), minus, AlgebraicInt(self, 0, -1))
-        if self.d == -3:
-            return (
-                one,
-                AlgebraicInt(self, 0, 1),
-                AlgebraicInt(self, -1, 1),
-                minus,
-                AlgebraicInt(self, 0, -1),
-                AlgebraicInt(self, 1, -1),
-            )
-        return (one, minus)
+        if self.n != -1:
+            return (one, -one)
+        omega, powers = AlgebraicInt(self, 0, 1), [one]
+        while (power := powers[-1] * omega) != one:
+            powers.append(power)
+        return tuple(powers)
 
     def element(self, x: int, y: int = 0) -> "AlgebraicInt":
         return AlgebraicInt(self, x, y)
@@ -136,18 +138,9 @@ class AlgebraicInt:
         if isinstance(other, int):
             return AlgebraicInt(self.field, self.x * other, self.y * other)
         self._check_same_field(other)
-        d = self.field.d
-        if d is None:
-            return AlgebraicInt(self.field, self.x * other.x, 0)
-        cross = self.x * other.y + self.y * other.x
-        if self.field.omega_is_half_integral:
-            # omega^2 = omega + (d - 1)/4
-            return AlgebraicInt(
-                self.field,
-                self.x * other.x + self.y * other.y * ((d - 1) // 4),
-                cross + self.y * other.y,
-            )
-        return AlgebraicInt(self.field, self.x * other.x + d * self.y * other.y, cross)
+        f, yy = self.field, self.y * other.y
+        return AlgebraicInt(f, self.x * other.x + f.n * yy,
+                            self.x * other.y + self.y * other.x + f.t * yy)
 
     __rmul__ = __mul__
 
@@ -164,21 +157,15 @@ class AlgebraicInt:
         return out
 
     def conjugate(self) -> "AlgebraicInt":
-        if self.field.degree == 1:
-            return self
-        if self.field.omega_is_half_integral:
-            # conj(omega) = 1 - omega
-            return AlgebraicInt(self.field, self.x + self.y, -self.y)
-        return AlgebraicInt(self.field, self.x, -self.y)
+        # conj(omega) = t - omega
+        return AlgebraicInt(self.field, self.x + self.field.t * self.y, -self.y)
 
     def norm(self) -> int:
         """Field norm; equals the element itself over Q."""
-        d = self.field.d
-        if d is None:
+        f = self.field
+        if f.degree == 1:
             return self.x
-        if self.field.omega_is_half_integral:
-            return self.x * self.x + self.x * self.y + self.y * self.y * ((1 - d) // 4)
-        return self.x * self.x - d * self.y * self.y
+        return self.x * (self.x + f.t * self.y) - f.n * self.y * self.y
 
     # -- predicates ----------------------------------------------------
 
@@ -233,28 +220,42 @@ class AlgebraicInt:
         return f"AlgebraicInt({self.field.label()}, {self})"
 
 
+def as_element(value, field: QuadraticField | None = None) -> AlgebraicInt:
+    """An AlgebraicInt as it is; an integer, or anything else `operator.index`
+    accepts (numpy integers too), as that integer in `field` (Q when None).
+
+    Raises BadParameter for anything else: floats, Fractions and strings are
+    refused, not truncated.
+    """
+    if isinstance(value, AlgebraicInt):
+        return value
+    try:
+        x = operator.index(value)
+    except TypeError:
+        raise BadParameter(f"cannot interpret {value!r} as a field element") from None
+    return AlgebraicInt(field or RATIONALS, x, 0)
+
+
+def field_of(values) -> QuadraticField:
+    """The field of the first AlgebraicInt among `values`, else Q."""
+    return next((v.field for v in values if isinstance(v, AlgebraicInt)), RATIONALS)
+
+
 def _quotient(field: QuadraticField, x: int, y: int, pi: AlgebraicInt,
               norm: int) -> tuple[int, int] | None:
     """(x + y*omega) / pi as coordinates, or None when pi does not divide it.
 
     `field` is quadratic and `norm` is N(pi).  The quotient is
     (x + y*omega) * conj(pi) / norm, computed once: it is integral exactly
-    when both coordinates of the product are multiples of the norm.
+    when both coordinates of the product are multiples of the norm.  With
+    conj(pi) = (u + t*v) - v*omega and omega^2 = t*omega + n the product is
+    (x*(u + t*v) - n*y*v) + (y*u - x*v)*omega.
     """
-    d, u, v = field.d, pi.x, pi.y
-    if field.omega_is_half_integral:
-        # conj(pi) = (u + v) - v*omega and omega^2 = omega + (d - 1)/4
-        u += v
-        qx, r = divmod(x * u - y * v * ((d - 1) // 4), norm)
-        if r:
-            return None
-        qy, r = divmod(y * u - x * v - y * v, norm)
-    else:
-        # conj(pi) = u - v*omega and omega^2 = d
-        qx, r = divmod(x * u - d * y * v, norm)
-        if r:
-            return None
-        qy, r = divmod(y * u - x * v, norm)
+    u, v = pi.x, pi.y
+    qx, r = divmod(x * (u + field.t * v) - field.n * y * v, norm)
+    if r:
+        return None
+    qy, r = divmod(y * u - x * v, norm)
     return None if r else (qx, qy)
 
 
@@ -486,7 +487,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             steps += r + min(k, r)
@@ -495,7 +496,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
                 steps += 1
         if g != n:
             return g
@@ -664,11 +665,8 @@ def _element_of_norm(field: QuadraticField, p: int) -> AlgebraicInt:
     if uv is None:
         raise AbckitInternal(f"no element of norm {p} in {field.label()}")
     u, v = uv
-    if field.omega_is_half_integral:
-        # sqrt(d) = 2*omega - 1, so (u + v*sqrt(d))/2 = (u - v)/2 + v*omega
-        return AlgebraicInt(field, (u - v) // 2, v)
-    # disc = 4d: sqrt(disc) = 2*omega, so (u + v*sqrt(disc))/2 = u/2 + v*omega
-    return AlgebraicInt(field, u // 2, v)
+    # sqrt(disc) = 2*omega - t, so (u + v*sqrt(disc))/2 = (u - t*v)/2 + v*omega
+    return AlgebraicInt(field, (u - field.t * v) // 2, v)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -735,24 +733,25 @@ def canonical_associate(alpha: AlgebraicInt) -> AlgebraicInt:
     lexicographically (x, y)-smallest associate in the half-plane
     x > 0 or (x = 0, y > 0).  Elsewhere: that half-plane directly.
 
-    Computed on the coordinates: the units are +-1 except i in Z[i], where
-    multiplying by i maps (x, y) to (-y, x), and omega in d = -3, a primitive
-    sixth root of unity mapping (x, y) to (-y, x + y).
+    Computed on the coordinates: the units are +-1 except in Z[i] and for
+    d = -3, where omega itself is a unit of order 4 and 6, and multiplying
+    by omega maps (x, y) to (n*y, x + t*y).
     """
     if alpha.is_zero():
         raise ZeroInput("0 has no canonical associate")
     f, x, y = alpha.field, alpha.x, alpha.y
     if f.degree == 1:
         return AlgebraicInt(f, abs(x), 0)
+    t, n = f.t, f.n
     if f.d == -1:
         while x <= 0 or y < 0:
-            x, y = -y, x
+            x, y = n * y, x + t * y
     elif f.d == -3:
         best = None
         for _ in range(6):
             if (x > 0 or (x == 0 and y > 0)) and (best is None or (x, y) < best):
                 best = (x, y)
-            x, y = -y, x + y
+            x, y = n * y, x + t * y
         x, y = best
     elif not (x > 0 or (x == 0 and y > 0)):
         x, y = -x, -y

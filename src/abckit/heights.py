@@ -25,9 +25,10 @@ from .arith import (
     AlgebraicInt,
     FactorEntry,
     QuadraticField,
-    RATIONALS,
     _entry_key,
+    as_element,
     factor_element,
+    field_of,
     ideal_gcd_norm,
 )
 from .errors import AllZero, BadParameter, ZeroInput
@@ -63,18 +64,10 @@ class PlaceValue:
             )
 
 
-def _as_element(value, field: QuadraticField | None) -> AlgebraicInt:
-    if isinstance(value, AlgebraicInt):
-        return value
-    if isinstance(value, int):
-        return AlgebraicInt(field or RATIONALS, value, 0)
-    raise BadParameter(f"cannot interpret {value!r} as a field element")
-
-
 def places(num, den=None, field: QuadraticField | None = None) -> list[PlaceValue]:
     """All places where num/den has a local value != 1, plus the infinite place."""
-    num = _as_element(num, field)
-    den = _as_element(den if den is not None else 1, num.field)
+    num = as_element(num, field)
+    den = as_element(den if den is not None else 1, num.field)
     if num.is_zero() or den.is_zero():
         raise ZeroInput("places of 0 are not defined")
     ords = {e.prime: e for e in factor_element(num)}
@@ -110,8 +103,8 @@ def weil_height(num, den=None, field: QuadraticField | None = None,
     only the gcd of their norms.  Equals degree times the absolute height,
     and vanishes exactly on the roots of unity.
     """
-    num = _as_element(num, field)
-    den = _as_element(den if den is not None else 1, num.field)
+    num = as_element(num, field)
+    den = as_element(den if den is not None else 1, num.field)
     if num.is_zero() or den.is_zero():
         raise ZeroInput("height of 0 is not defined here")
     return log_projective_height([den, num], num.field, prec)
@@ -120,7 +113,7 @@ def weil_height(num, den=None, field: QuadraticField | None = None,
 def absolute_weil_height(num, den=None, field: QuadraticField | None = None,
                          prec: int = DEFAULT_PREC) -> float:
     """Absolute (degree-normalized) logarithmic height."""
-    num = _as_element(num, field)
+    num = as_element(num, field)
     return weil_height(num, den, field, prec) / num.field.degree
 
 
@@ -136,13 +129,7 @@ def projective_height(coords, field: QuadraticField | None = None) -> Fraction:
     where m(pi) is the least order of pi in a nonzero coordinate, and the
     infinite place max |N(x_i)|: over Q both come from |x_i| = |N(x_i)|.
     """
-    if field is None:
-        for c in coords:
-            if isinstance(c, AlgebraicInt):
-                field = c.field
-                break
-        else:
-            field = RATIONALS
+    field = field or field_of(coords)
     if any(isinstance(c, Fraction) for c in coords):
         if field.degree != 1:
             raise BadParameter("Fraction coordinates are only supported over Q")
@@ -151,7 +138,7 @@ def projective_height(coords, field: QuadraticField | None = None) -> Fraction:
             if isinstance(c, Fraction):
                 lcm = lcm * c.denominator // gcd(lcm, c.denominator)
         coords = [int(c * lcm) if isinstance(c, Fraction) else c * lcm for c in coords]
-    elements = [_as_element(c, field) for c in coords]
+    elements = [as_element(c, field) for c in coords]
     if any(c.field != field for c in elements):
         raise BadParameter("coordinates must share one ambient field")
     nonzero = [c for c in elements if not c.is_zero()]

@@ -11,8 +11,10 @@ from .arith import (
     QuadraticField,
     RATIONALS,
     _entry_key,
+    as_element,
     factor_element,
     factor_int,
+    field_of,
     ideal_coprime,
 )
 from .errors import (
@@ -85,19 +87,10 @@ def selector_record(fa: IdealFactorization, fb: IdealFactorization,
     )
 
 
-def _coerce(value, field: QuadraticField) -> AlgebraicInt:
-    if isinstance(value, AlgebraicInt):
-        return value
-    return AlgebraicInt(field, int(value), 0)
-
-
 def make_triple(a, b, c, field: QuadraticField | None = None) -> AbcTriple:
     """Validate and populate a triple: nonzero, sum zero, pairwise ideal-coprime."""
-    if field is None:
-        field = next(
-            (v.field for v in (a, b, c) if isinstance(v, AlgebraicInt)), RATIONALS
-        )
-    a, b, c = (_coerce(v, field) for v in (a, b, c))
+    field = field or field_of((a, b, c))
+    a, b, c = (as_element(v, field) for v in (a, b, c))
     if a.is_zero() or b.is_zero() or c.is_zero():
         raise ZeroCoordinate("all three coordinates must be nonzero")
     if not (a + b + c).is_zero():

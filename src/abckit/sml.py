@@ -154,14 +154,12 @@ def find_roots(cubic: tuple[int, int, int, int]) -> tuple[tuple[AlgebraicInt, ..
         return tuple(AlgebraicInt(field, t, 0) for t in sorted(roots)), field
     m, f0 = _squarefree_split(-disc)
     field = QuadraticField(-f0)  # raises UnsupportedField off the allow-list
-    if field.omega_is_half_integral:
-        # sqrt(d0) = 2w - 1; B and m share parity because B^2 = m^2 d0 (mod 4)
-        assert (B + m) % 2 == 0, (cubic, B, m, f0)
-        root = AlgebraicInt(field, (-B - m) // 2, m)
-    else:
-        # d0 = 2, 3 (mod 4) forces B and m even through the same congruence
-        assert B % 2 == 0 and m % 2 == 0, (cubic, B, m, f0)
-        root = AlgebraicInt(field, -B // 2, m // 2)
+    # the root is (-B + m*sqrt(-f0))/2 and sqrt(-f0) = (2w - t)/(2 - t); both
+    # divisions are exact because B^2 = m^2 * (-f0) (mod 4)
+    t = field.t
+    s = m // (2 - t)
+    assert s * (2 - t) == m and (B + s * t) % 2 == 0, (cubic, B, m, f0)
+    root = AlgebraicInt(field, (-B - s * t) // 2, s)
     return (AlgebraicInt(field, r, 0), root, root.conjugate()), field
 
 

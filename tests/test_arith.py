@@ -102,6 +102,73 @@ class TestFieldsAndElements:
         with pytest.raises(BadParameter):
             AlgebraicInt(GAUSSIAN, 1, 1).exact_div(three)
 
+    def test_units_order(self):
+        def coords(f):
+            return [(u.x, u.y) for u in f.units()]
+
+        assert coords(GAUSSIAN) == [(1, 0), (0, 1), (-1, 0), (0, -1)]
+        assert coords(QuadraticField(-3)) == [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+        for f in ALL_FIELDS:
+            if f.d not in (-1, -3):
+                assert coords(f) == [(1, 0), (-1, 0)]
+
+
+class TestRingFormulasAgainstSympy:
+    """*, conjugate, norm and exact_div in the nine quadratic rings against
+    sympy, with omega = (t + sqrt(D))/2 symbolic and t, D derived here from d."""
+
+    @staticmethod
+    def omega(f: QuadraticField):
+        D = f.d if f.d % 4 == 1 else 4 * f.d
+        t = D % 4
+        assert (f.t, f.n) == (t, (D - t) // 4)
+        return (t + sympy.sqrt(D)) / 2
+
+    @classmethod
+    def value(cls, a: AlgebraicInt):
+        return a.x + a.y * cls.omega(a.field)
+
+    @classmethod
+    def coords(cls, f: QuadraticField, z) -> tuple:
+        """(X, Y) with z = X + Y*omega, as sympy rationals."""
+        w = cls.omega(f)
+        z = sympy.expand(z)
+        y = sympy.im(z) / sympy.im(w)
+        return sympy.re(z) - y * sympy.re(w), y
+
+    ELEMENTS = st.tuples(st.sampled_from(QUADRATIC_FIELDS), st.integers(-10**6, 10**6),
+                         st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+                         st.integers(-10**6, 10**6))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ELEMENTS)
+    def test_product_conjugate_norm(self, drawn):
+        f, x1, y1, x2, y2 = drawn
+        a, b = AlgebraicInt(f, x1, y1), AlgebraicInt(f, x2, y2)
+        va, vb = self.value(a), self.value(b)
+        assert sympy.expand(self.value(a * b) - va * vb) == 0
+        assert sympy.expand(self.value(a.conjugate()) - sympy.conjugate(va)) == 0
+        assert sympy.expand(va * sympy.conjugate(va)) == a.norm()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ELEMENTS, st.booleans())
+    def test_exact_div(self, drawn, multiple):
+        f, x1, y1, x2, y2 = drawn
+        b = AlgebraicInt(f, x2, y2)
+        if b.is_zero():
+            return
+        if multiple:  # a = c*b with the product taken by sympy
+            x1, y1 = self.coords(f, (x1 + y1 * self.omega(f)) * self.value(b))
+        a = AlgebraicInt(f, int(x1), int(y1))
+        va, vb = self.value(a), self.value(b)
+        qx, qy = self.coords(f, va * sympy.conjugate(vb) / sympy.expand(vb * sympy.conjugate(vb)))
+        if qx.is_integer and qy.is_integer:
+            assert a.exact_div(b) == AlgebraicInt(f, int(qx), int(qy))
+        else:
+            assert not multiple
+            with pytest.raises(BadParameter):
+                a.exact_div(b)
+
 
 class TestFactorInt:
     def test_72(self):

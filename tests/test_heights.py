@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from abckit import (
@@ -16,7 +17,7 @@ from abckit import (
     weil_height,
 )
 from abckit.arith import primes_above
-from abckit.errors import AllZero, ZeroInput
+from abckit.errors import AllZero, BadParameter, ZeroInput
 
 from conftest import ALL_FIELDS, GAUSSIAN, random_element
 
@@ -110,6 +111,12 @@ class TestProjectiveHeight:
 
     def test_zero_coordinate_is_ignored(self):
         assert projective_height([0, 3, 5]) == 5
+
+    def test_coordinates_must_be_integers(self):
+        for coords in ([1.5, 2, 3], [1, "8", -9]):
+            with pytest.raises(BadParameter):
+                projective_height(coords)
+        assert projective_height([np.int64(2), np.int32(16), -18]) == 9
 
     def test_exact_scale_invariance_random(self, rng):
         for f in ALL_FIELDS:

@@ -1,6 +1,8 @@
 import itertools
+from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy
 
@@ -16,6 +18,7 @@ from abckit import (
     triple_height,
 )
 from abckit.errors import (
+    BadParameter,
     NotCoprime,
     SumNotZero,
     UnsupportedField,
@@ -73,6 +76,18 @@ class TestMakeTriple:
                     make_triple(*order)
         with pytest.raises(UnsupportedField):
             make_triple(1, 1, -2, QuadraticField(-10))
+
+    def test_non_integer_coordinates_rejected(self):
+        # never truncated: floats, Fractions (whole ones too) and strings are refused
+        for coords in ((1.7, 8.2, -9), (Fraction(1, 2), Fraction(1, 2), -1),
+                       (Fraction(2, 1), 7, -9), ("1", "8", "-9")):
+            with pytest.raises(BadParameter):
+                make_triple(*coords)
+
+    def test_numpy_integers_accepted(self):
+        t = make_triple(np.int64(1), np.int32(8), np.int64(-9))
+        assert t == make_triple(1, 8, -9)
+        assert type(t.a.x) is int
 
     def test_radical_equals_independent_refactorization(self, rng):
         # G re-derived by factoring the product a*b*c in one go: over Q via
