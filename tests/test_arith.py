@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 import sympy
@@ -9,6 +10,7 @@ from abckit import (
     AlgebraicInt,
     QuadraticField,
     RATIONALS,
+    arith,
     canonical_associate,
     factor_element,
     factor_int,
@@ -57,6 +59,20 @@ class TestFieldsAndElements:
         for d in (-5, -6, 2, 3, -165):
             with pytest.raises(UnsupportedField):
                 QuadraticField(d)
+
+    def test_d_must_be_an_integer(self):
+        # a float or a string equal to an allowed d is refused, not hashed
+        # together with that field
+        for d in (-7.0, "-7", -7.5):
+            with pytest.raises(BadParameter):
+                QuadraticField(d)
+
+    def test_numpy_integer_d_becomes_an_int(self):
+        numpy = pytest.importorskip("numpy")
+        K = QuadraticField(numpy.int64(-7))
+        assert type(K.d) is int and K == QuadraticField(-7)
+        assert hash(K) == hash(QuadraticField(-7))
+        assert primes_above(K, 2) == primes_above(QuadraticField(-7), 2)
 
     def test_rational_elements_have_zero_y(self):
         with pytest.raises(BadParameter):
@@ -368,6 +384,30 @@ class TestFactorDifferential:
     @given(n=planted_numbers())
     def test_planted_factors_hypothesis(self, n):
         assert dict(_factor_nat(n)) == sympy.factorint(n)
+
+    def test_many_primes_above_2_16_against_sympy(self, rng):
+        mid = [p for p in primes_upto(1 << 18) if p > 1 << 16]
+        for count in (20, 100):
+            n = 1
+            for p in rng.sample(mid, count):
+                n *= p ** rng.choice([1, 1, 1, 2])
+            assert dict(_factor_nat(n)) == sympy.factorint(n, use_ecm=False)
+
+    def test_many_primes_no_primality_test_at_full_size(self, monkeypatch):
+        # rho splits such a product before the part is worth a primality
+        # test, so the shrinking cofactor is not tested once per prime
+        mid = [p for p in primes_upto(1 << 18) if p > 1 << 16]
+        primes = random.Random(7).sample(mid, 100)
+        tested = []
+
+        def recording(m):
+            tested.append(m.bit_length())
+            return is_probable_prime(m)
+
+        monkeypatch.setattr(arith, "is_probable_prime", recording)
+        n = prod(primes)
+        assert _factor_nat(n) == tuple((p, 1) for p in sorted(primes))
+        assert max(tested) < n.bit_length() // 2
 
 
 class TestStripSmallPrimes:

@@ -173,6 +173,13 @@ class TestCommands:
         code, out, _ = run(capsys, ["landau", "--field", "Q", "--R", "1"])
         assert code == 0 and out.strip() == "0.34657359028"
 
+    def test_xyz_search_prime_far_above_limit(self, capsys, tmp_path):
+        out_path = os.fspath(tmp_path / "triples.csv")
+        code, out, _ = run(capsys, ["xyz", "search", "--P", "100000000003", "--limit", "10",
+                                    "--out", out_path])
+        assert code == 0 and out.startswith("16 primitive")
+        assert len(read_csv(out_path)[1]) == 16
+
     def test_calibrate_small(self, capsys):
         code, out, _ = run(capsys, ["calibrate", "--theorem", "2", "--H-limit", "50"])
         assert code == 0 and "empirical min C" in out

@@ -69,6 +69,12 @@ class TestSmoothNumbers:
         with pytest.raises(BadParameter):
             smooth_numbers(3, 0)
 
+    def test_prime_far_above_limit_sieves_to_limit(self):
+        # a prime above the limit divides no n <= limit, so no sieve to P
+        assert smooth_numbers(100000000003, 10) == smooth_numbers(7, 10)
+        with pytest.raises(BadParameter):
+            smooth_numbers(100000000001, 10)  # 11 * 9090909091, not prime
+
 
 class TestEnumerateTriples:
     def test_contains_1_8_9(self):
@@ -116,6 +122,9 @@ class TestEnumerateTriples:
     def test_23_smooth_count_to_one_million(self):
         assert len(enumerate_triples(23, 10**6)) == 8314
 
+    def test_prime_far_above_limit(self):
+        assert enumerate_triples(100000000003, 10) == enumerate_triples(7, 10)
+
 
 class TestMaskJoinAgainstProbeJoin:
     @settings(max_examples=25, deadline=None)
@@ -129,6 +138,18 @@ class TestMaskJoinAgainstProbeJoin:
         triples = enumerate_triples(331, 400)
         assert triples == probe_join(331, 400)
         assert {313, 317, 331} <= {t.s for t in triples}
+
+
+class TestDeWegerCompleteSets:
+    """de Weger (1987) proved these sets complete: every primitive X + Y = Z
+    with XYZ P-smooth has Z at most the largest Z listed."""
+
+    @pytest.mark.parametrize("P, count, largest_z", [(5, 17, 128), (7, 63, 4375),
+                                                     (13, 545, 1771561)])
+    def test_counts_and_largest_z(self, P, count, largest_z):
+        triples = enumerate_triples(P, 10**8)
+        assert len(triples) == count
+        assert triples[-1].z == largest_z == max(t.z for t in triples)
 
 
 class TestLemma9:

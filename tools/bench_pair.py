@@ -151,6 +151,65 @@ assert all(thm2_rhs(t, config).holds for t in triples)
 seconds = time.perf_counter() - t0
 work = len(triples)
 """),
+    "xyz.enumerate_triples.p23_1e7_serial_s": (
+        "serial enumerate_triples(23, 10^7), the end-to-end size of the xyz "
+        "search: 8,680 triples from 28,434 smooth numbers in 497 support masks",
+        """
+from abckit import enumerate_triples
+t0 = time.perf_counter()
+work = len(enumerate_triples(23, 10**7))
+seconds = time.perf_counter() - t0
+assert work == 8680
+"""),
+    "xyz.enumerate_triples.p23_1e7_workers2_s": (
+        "enumerate_triples(23, 10^7, workers=2), against the serial probe "
+        "for whether the process pool pays",
+        """
+from abckit import enumerate_triples
+t0 = time.perf_counter()
+work = len(enumerate_triples(23, 10**7, workers=2))
+seconds = time.perf_counter() - t0
+assert work == 8680
+"""),
+    "xyz.enumerate_triples.p23_1e6_serial_s": (
+        "serial enumerate_triples(23, 10^6), the smooth_search size: 8,314 "
+        "triples from 11,654 smooth numbers in 454 support masks",
+        """
+from abckit import enumerate_triples
+t0 = time.perf_counter()
+work = len(enumerate_triples(23, 10**6))
+seconds = time.perf_counter() - t0
+assert work == 8314
+"""),
+    "xyz.enumerate_triples.p23_1e6_workers2_s": (
+        "enumerate_triples(23, 10^6, workers=2), as smooth_search calls it",
+        """
+from abckit import enumerate_triples
+t0 = time.perf_counter()
+work = len(enumerate_triples(23, 10**6, workers=2))
+seconds = time.perf_counter() - t0
+assert work == 8314
+"""),
+    "xyz.enumerate_triples.p47_1e5_serial_s": (
+        "serial enumerate_triples(47, 10^5), a many-prime join: 185,977 "
+        "triples from 9,639 smooth numbers in 1,820 support masks",
+        """
+from abckit import enumerate_triples
+t0 = time.perf_counter()
+work = len(enumerate_triples(47, 10**5))
+seconds = time.perf_counter() - t0
+assert work == 185977
+"""),
+    "xyz.enumerate_triples.p97_1e5_serial_s": (
+        "serial enumerate_triples(97, 10^5), the ROADMAP's many-prime case: "
+        "2,236,629 triples from 17,442 smooth numbers in 5,036 support masks",
+        """
+from abckit import enumerate_triples
+t0 = time.perf_counter()
+work = len(enumerate_triples(97, 10**5))
+seconds = time.perf_counter() - t0
+assert work == 2236629
+"""),
 }
 
 PROBE_MAIN = """
