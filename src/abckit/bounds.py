@@ -23,6 +23,7 @@ from .errors import (
     HypothesisFails,
     NotApplicable,
 )
+from .heights import MP_BITS
 from .radical import AbcTriple, Selectors, triple_height
 
 E_SQUARED_GUARD = math.e**math.e  # below this the triple-log exponent turns negative
@@ -38,7 +39,6 @@ class BoundConfig:
 
     C_main: float = 1.0
     G_min: float = E_SQUARED_GUARD
-    precision_bits: int = 64
     full_exponent: bool = False
 
     def __post_init__(self):
@@ -51,8 +51,6 @@ class BoundConfig:
             raise BadParameter("C_main must be nonnegative")
         if self.G_min <= math.e:
             raise BadParameter("G_min must exceed e")
-        if self.precision_bits < 64:
-            raise BadParameter("precision_bits must be at least 64")
 
     def with_C(self, C: float) -> "BoundConfig":
         return replace(self, C_main=C)
@@ -94,7 +92,7 @@ def exponent_term(G: int, C: float, config: BoundConfig = DEFAULT_CONFIG) -> flo
     _check_radical(G)
     if is_small_radical(G, config):
         return 0.0
-    with mp.workprec(config.precision_bits):
+    with mp.workprec(MP_BITS):
         lg = mp.log(G)
         llg = mp.log(lg)
         term = mp.log(llg) / llg
@@ -114,8 +112,8 @@ def _report(theorem: str, lhs: float, rhs: float, exponent: float, regime: str,
                        weak_rhs, detail)
 
 
-def _log_height(triple: AbcTriple, config: BoundConfig) -> float:
-    with mp.workprec(config.precision_bits):
+def _log_height(triple: AbcTriple) -> float:
+    with mp.workprec(MP_BITS):
         return float(mp.log(triple_height(triple)))
 
 
@@ -156,7 +154,7 @@ def _theorem_report(theorem: int, triple: AbcTriple, config: BoundConfig) -> Bou
     Error bound.  Let u = 2^-53, l = log G, C = C_main, b the float log base
     (the same float in both paths), and assume math.log and math.exp are
     within 1 ulp (2u relative) and mpmath's log and exp within 1 ulp at
-    precision_bits >= 64.  For G > e^e, loglog G > 1, so the float kappa is
+    64 bits.  For G > e^e, loglog G > 1, so the float kappa is
     within 8.1u of the true value (21.1u with ``full_exponent``; kappa < 2),
     the float exponent x = b + C kappa l within u(|b| + 36 C l) of the true
     one, and rhs = exp(x) within a relative u(|b| + 36 C l) + 2u.  The
@@ -198,10 +196,10 @@ def _theorem_report(theorem: int, triple: AbcTriple, config: BoundConfig) -> Bou
 def _theorem_report_mp(theorem: int, triple: AbcTriple, config: BoundConfig) -> BoundReport:
     """log H against rhs = exp(log base + term * log G), selectors taken in
     height order; theorem 3 also reports its weak form G^(1/3 + term).  All in
-    mpmath at ``precision_bits``: the fallback and oracle of `_theorem_report`."""
-    lhs = _log_height(triple, config)
+    mpmath at 64 bits: the fallback and oracle of `_theorem_report`."""
+    lhs = _log_height(triple)
     term = exponent_term(triple.G, config.C_main, config)
-    with mp.workprec(config.precision_bits):
+    with mp.workprec(MP_BITS):
         log_g = mp.log(triple.G)
         rhs = float(mp.exp(_log_base(triple.height_selectors, theorem) + term * log_g))
         weak = float(mp.exp((mp.mpf(1) / 3 + term) * log_g)) if theorem == 3 else None
@@ -269,7 +267,7 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
             f"corollary {cid} conditions on nontrivial class-group structure; "
             "with class number one its hypothesis is vacuous"
         )
-    lhs = _log_height(triple, config)
+    lhs = _log_height(triple)
     sel, fc = triple.height_selectors, triple.by_height[2]
     G = triple.G
     C = config.C_main
@@ -280,7 +278,7 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
     ord_top_c = _ord_at_top_prime(fc)
 
     def power_of_G(theta: float, extra_term: float, detail: str) -> BoundReport:
-        with mp.workprec(config.precision_bits):
+        with mp.workprec(MP_BITS):
             rhs = float(mp.mpf(G) ** (theta + extra_term))
         return _report(f"cor{cid}", lhs, rhs, theta + extra_term, regime, detail=detail)
 
@@ -360,7 +358,7 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
         a = _require_alpha(alpha, 0, 1)
         if not ord_top_c < lhs**a:
             raise HypothesisFails(13, f"needs ord at the top prime of c < (log H)^{a}")
-        with mp.workprec(config.precision_bits):
+        with mp.workprec(MP_BITS):
             g_branch = mp.mpf(G) ** (3 / 4 + term)
             log_branch = C * mp.log(G) ** (1 / (1 - a))
             rhs = float(max(g_branch, log_branch))
@@ -375,8 +373,7 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
 
 
 def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
-                 heights: list[float], B: float,
-                 prec: int = 64) -> float:
+                 heights: list[float], B: float) -> float:
     """Explicit upper bound for the order at a prime ideal of a product of
     powers minus one:
 
@@ -398,7 +395,7 @@ def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
     if any(h < 0 for h in heights):
         raise BadParameter("heights are nonnegative")
     n, d = n_terms, degree
-    with mp.workprec(prec):
+    with mp.workprec(MP_BITS):
         floor_h = 1 / (16 * mp.e**2 * d**2)
         out = (16 * mp.e * d) ** (2 * (n + 1))
         out *= mp.mpf(n) ** mp.mpf(2.5)
@@ -411,15 +408,15 @@ def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
         return float(out)
 
 
-def tidy_bound(x: float, prec: int = 64) -> float:
+def tidy_bound(x: float) -> float:
     """max(e, 2x log x): any a with a / log a < x satisfies a < tidy_bound(x)."""
     if not (0 < x < math.inf):
         raise BadParameter("x must be positive and finite")
-    with mp.workprec(prec):
+    with mp.workprec(MP_BITS):
         return float(max(mp.e, 2 * x * mp.log(x)))
 
 
-def landau_min_constant(field: QuadraticField, R: int, prec: int = 64) -> float:
+def landau_min_constant(field: QuadraticField, R: int) -> float:
     """Smallest C with prod_{i<=r} norm(p_i)/log norm(p_i) >= (r/C)^r for r <= R,
     over the field's prime ideals in (norm, canonical) order.
 
@@ -429,7 +426,7 @@ def landau_min_constant(field: QuadraticField, R: int, prec: int = 64) -> float:
     if R < 1:
         raise BadParameter("R must be at least 1")
     ideals = prime_ideals_in_norm_order(field, R)
-    with mp.workprec(prec):
+    with mp.workprec(MP_BITS):
         log_prod = mp.mpf(0)
         best = mp.mpf(0)
         for r, entry in enumerate(ideals, start=1):
@@ -512,7 +509,7 @@ def _needed_C_mp(triple: AbcTriple, theorem: int, config: BoundConfig) -> float 
     mpmath fallback of `empirical_min_C`."""
     log_base = _log_base(triple.height_selectors, theorem)
     _check_radical(triple.G)
-    lhs = _log_height(triple, config)
+    lhs = _log_height(triple)
     if lhs <= math.exp(log_base):
         return None
     kappa_log_g = exponent_term(triple.G, 1.0, config) * math.log(triple.G)

@@ -47,7 +47,6 @@ def fmt(value) -> str:
 
 
 _BOUND_KEYS = {f.name for f in fields(BoundConfig)}
-_INT_KEYS = {"precision_bits"}
 _BOOL_KEYS = {"full_exponent"}
 
 
@@ -60,8 +59,8 @@ def _open(path: str, mode: str, action: str, **kwargs):
 
 
 def load_config(path: str | None) -> BoundConfig:
-    """Parse a config file; absent keys keep their defaults."""
-    bound_kwargs: dict = {}
+    """Parse a config file; absent keys keep their defaults, a bad value fails on its line."""
+    config = BoundConfig()
     if path is not None:
         with _open(path, "r", "read config") as handle:
             try:
@@ -74,13 +73,14 @@ def load_config(path: str | None) -> BoundConfig:
                     key, _, value = (part.strip() for part in line.partition("="))
                     if key not in _BOUND_KEYS:
                         raise UnknownKey(key)
-                    bound_kwargs[key] = _parse_typed(key, value)
+                    value = _parse_typed(key, value)
+                    try:
+                        config = replace(config, **{key: value})
+                    except BadParameter as exc:
+                        raise BadValue(key, str(exc)) from exc
             except UnicodeDecodeError as exc:
                 raise BadParameter(f"cannot read config {path}: not UTF-8 text") from exc
-    try:
-        return BoundConfig(**bound_kwargs)
-    except InputError as exc:
-        raise BadValue(next(iter(bound_kwargs), "config"), str(exc)) from exc
+    return config
 
 
 def _parse_typed(key: str, value: str):
@@ -92,8 +92,6 @@ def _parse_typed(key: str, value: str):
             if lowered in ("0", "false", "no"):
                 return False
             raise ValueError("expected a boolean")
-        if key in _INT_KEYS:
-            return int(value)
         return float(value)
     except ValueError as exc:
         raise BadValue(key, f"{value!r} ({exc})") from exc

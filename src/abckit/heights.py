@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from mpmath import mp
 
@@ -33,7 +33,7 @@ from .arith import (
 )
 from .errors import AllZero, BadParameter, ZeroInput
 
-DEFAULT_PREC = 64
+MP_BITS = 64  # mpmath's working precision, the float filter's reference in bounds
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,9 @@ class PlaceValue:
     local_degree: int | None = None
     sq_modulus: Fraction | None = None
 
-    def log_abs(self, prec: int = DEFAULT_PREC) -> float:
+    def log_abs(self) -> float:
         """log |x|_v under the product-formula normalization."""
-        with mp.workprec(prec):
+        with mp.workprec(MP_BITS):
             if self.kind == "finite":
                 return float(-self.exponent * mp.log(self.norm))
             sq = self.sq_modulus
@@ -80,22 +80,18 @@ def places(num, den=None, field: QuadraticField | None = None) -> list[PlaceValu
     ]
     if num.field.degree == 1:
         sq = Fraction(num.x * num.x, den.x * den.x)
-        modulus = float(abs(Fraction(num.x, den.x)))
-        out.append(
-            PlaceValue(kind="infinite", modulus=modulus, local_degree=1, sq_modulus=sq)
-        )
+        modulus = _to_float(abs(Fraction(num.x, den.x)))
     else:
         # |sigma(x)|^2 is exactly the norm ratio for imaginary quadratic fields
         sq = Fraction(abs(num.norm()), abs(den.norm()))
-        modulus = float(mp.sqrt(mp.mpf(sq.numerator) / sq.denominator))
-        out.append(
-            PlaceValue(kind="infinite", modulus=modulus, local_degree=2, sq_modulus=sq)
-        )
+        with mp.workprec(MP_BITS):
+            modulus = float(mp.sqrt(mp.mpf(sq.numerator) / sq.denominator))
+    out.append(PlaceValue(kind="infinite", modulus=modulus, local_degree=num.field.degree,
+                          sq_modulus=sq))
     return out
 
 
-def weil_height(num, den=None, field: QuadraticField | None = None,
-                prec: int = DEFAULT_PREC) -> float:
+def weil_height(num, den=None, field: QuadraticField | None = None) -> float:
     """Relative logarithmic Weil height of num/den over its ambient field.
 
     The sum of log+ of the normalized local values, which is the log
@@ -107,14 +103,13 @@ def weil_height(num, den=None, field: QuadraticField | None = None,
     den = as_element(den if den is not None else 1, num.field)
     if num.is_zero() or den.is_zero():
         raise ZeroInput("height of 0 is not defined here")
-    return log_projective_height([den, num], num.field, prec)
+    return log_projective_height([den, num], num.field)
 
 
-def absolute_weil_height(num, den=None, field: QuadraticField | None = None,
-                         prec: int = DEFAULT_PREC) -> float:
+def absolute_weil_height(num, den=None, field: QuadraticField | None = None) -> float:
     """Absolute (degree-normalized) logarithmic height."""
     num = as_element(num, field)
-    return weil_height(num, den, field, prec) / num.field.degree
+    return weil_height(num, den, field) / num.field.degree
 
 
 def projective_height(coords, field: QuadraticField | None = None) -> Fraction:
@@ -149,22 +144,29 @@ def projective_height(coords, field: QuadraticField | None = None) -> Fraction:
     return Fraction(max(sizes), ideal_gcd_norm(nonzero, sizes))
 
 
-def log_projective_height(coords, field: QuadraticField | None = None,
-                          prec: int = DEFAULT_PREC) -> float:
+def log_projective_height(coords, field: QuadraticField | None = None) -> float:
     h = projective_height(coords, field)
-    with mp.workprec(prec):
+    with mp.workprec(MP_BITS):
         return float(mp.log(h.numerator) - mp.log(h.denominator))
 
 
-def house(alpha: AlgebraicInt, prec: int = DEFAULT_PREC) -> float:
-    """Maximum modulus over the complex embeddings.
+def house(alpha: AlgebraicInt) -> float:
+    """Maximum modulus over the complex embeddings, inf past the float range.
 
     The two embeddings of an imaginary quadratic element are conjugate, so
-    the house is sqrt(|norm|); over Q it is |x|.
+    the house is sqrt(|norm|); over Q it is |x|, correctly rounded.
     """
     if alpha.is_zero():
         raise ZeroInput("house of 0 is not defined")
-    with mp.workprec(prec):
-        if alpha.field.degree == 1:
-            return float(abs(alpha.x))
+    if alpha.field.degree == 1:
+        return _to_float(abs(alpha.x))
+    with mp.workprec(MP_BITS):
         return float(mp.sqrt(abs(alpha.norm())))
+
+
+def _to_float(x: int | Fraction) -> float:
+    """float(x), correctly rounded, or inf where it overflows."""
+    try:
+        return float(x)
+    except OverflowError:
+        return inf

@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedField,
     ZeroInput,
 )
-from .heights import weil_height
+from .heights import MP_BITS, weil_height
 
 from mpmath import mp
 
@@ -342,7 +342,7 @@ def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> fl
     if h_max <= 0:
         raise DegenerateHeight("largest root height must be positive")
     term = exponent_term(G, config.C_main, config)
-    with mp.workprec(config.precision_bits):
+    with mp.workprec(MP_BITS):
         return float(mp.mpf(G) ** (mp.mpf(1) / 3 + term) / h_max)
 
 
@@ -523,7 +523,7 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
     except (RepeatedRoots, UnsupportedField) as exc:
         return SmlVerdict(status="Unsupported", C=config.C_main, reason=str(exc))
 
-    h_max = max(weil_height(r, prec=config.precision_bits) for r in roots)
+    h_max = max(weil_height(r) for r in roots)
     if degeneracy_check(roots):
         return SmlVerdict(
             status="Degenerate", C=config.C_main,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from abckit import (
     RATIONALS,
@@ -18,12 +19,16 @@ from abckit import (
     landau_min_constant,
     lefourn_sunit_bound,
     enumerate_primitive_triples,
+    house,
     make_triple,
+    places,
     thm1_rhs,
     thm2_rhs,
     thm3_rhs,
     tidy_bound,
+    weil_height,
     yu_ord_bound,
+    zero_bound,
 )
 from abckit.arith import prime_ideals_in_norm_order
 from abckit import bounds
@@ -46,7 +51,7 @@ from abckit.errors import (
     NotApplicable,
 )
 
-from conftest import ALL_FIELDS
+from conftest import ALL_FIELDS, random_element
 from test_radical import random_triple
 
 Q = RATIONALS
@@ -557,7 +562,7 @@ class TestCalibrationAgainstBisection:
             if theorem == 3:
                 dataset = [t for t in dataset if t.G > DEFAULT_CONFIG.G_min]
             oracle = max(bisection_min_c(
-                _log_height(t, DEFAULT_CONFIG),
+                _log_height(t),
                 math.exp(_log_base(t.height_selectors, theorem)),
                 exponent_term(t.G, 1.0) * math.log(t.G), self.TOL) for t in dataset)
             c = empirical_min_C(dataset, theorem, tol=self.TOL)
@@ -702,11 +707,6 @@ class TestCalibrationFloatFilter:
         assert (empirical_min_C(dataset, theorem, config)
                 == empirical_min_c_mp(dataset, theorem, config))
 
-    def test_bit_identical_at_higher_precision(self, primitive_300):
-        config = replace(DEFAULT_CONFIG, precision_bits=200)
-        assert (empirical_min_C(primitive_300, 2, config)
-                == empirical_min_c_mp(primitive_300, 2, config) > 0)
-
     @pytest.mark.parametrize("d", [None, -1, -7])
     @pytest.mark.parametrize("theorem", [1, 2, 3])
     def test_bit_identical_on_the_bisection_datasets(self, d, theorem):
@@ -747,3 +747,48 @@ class TestCalibrationFloatFilter:
         with pytest.raises(type(want.value)) as got:
             empirical_min_C(dataset, theorem, **kwargs)
         assert str(got.value) == str(want.value)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestGlobalMpmathPrecision:
+    """Every mpmath value is taken at heights.MP_BITS, whatever the caller's
+    mp.prec is."""
+
+    @staticmethod
+    def values():
+        rng = random.Random(15)
+        triples = [make_triple(1, 8, -9), make_triple(3, 125, -128), make_triple(5, 27, -32)]
+        triples += [random_triple(rng, f, 10**6) for f in ALL_FIELDS]
+        full = replace(DEFAULT_CONFIG, full_exponent=True)
+        out = []
+        for t in triples:
+            out += [thm1_rhs(t), thm2_rhs(t), thm3_rhs(t), thm3_rhs(t, full),
+                    _theorem_report_mp(2, t, DEFAULT_CONFIG)]
+            out += [_outcome(corollary_bound, cid, t, alpha=0.55) for cid in (3, 4, 5, 11, 13)]
+        out += [empirical_min_C(triples, 2), empirical_min_C(triples, 2, full),
+                empirical_min_c_mp(triples, 1)]
+        out += [zero_bound(30, 0.7), zero_bound(10**6 + 3, 2.5)]
+        for f in ALL_FIELDS:
+            for _ in range(5):
+                num, den = random_element(rng, f), random_element(rng, f)
+                out += [weil_height(num, den), house(num), places(num, den)]
+        out += [yu_ord_bound(3, 2, 1, 5, [0.5, 1.2, 0.0], 1000.0), tidy_bound(1234.5)]
+        out += [landau_min_constant(f, 50) for f in ALL_FIELDS[:3]]
+        return out
+
+    def test_results_ignore_mp_prec(self):
+        want = self.values()
+        saved = mp.prec
+        try:
+            for prec in (12, 200):
+                mp.prec = prec
+                assert self.values() == want
+        finally:
+            mp.prec = saved

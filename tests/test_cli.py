@@ -230,7 +230,6 @@ class TestConfigFiles:
     def test_defaults(self):
         config = load_config(None)
         assert config.C_main == 1.0
-        assert config.precision_bits == 64
 
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
@@ -254,6 +253,10 @@ class TestConfigFiles:
         path.write_text("C_main = cheese\n")
         with pytest.raises(BadValue):
             load_config(os.fspath(path))
+        path.write_text("C_main = 2\nG_min = -1\n")
+        with pytest.raises(BadValue) as info:
+            load_config(os.fspath(path))
+        assert info.value.key == "G_min"
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -263,7 +266,7 @@ class TestConfigFiles:
 
     def test_unread_keys_are_unknown(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
-        for line in ("field = Q(i)", "out = x.csv", "verbosity = 1"):
+        for line in ("field = Q(i)", "out = x.csv", "verbosity = 1", "precision_bits = 64"):
             path.write_text(line + "\n")
             with pytest.raises(UnknownKey):
                 load_config(os.fspath(path))

@@ -215,6 +215,26 @@ class TestHouse:
         with pytest.raises(ZeroInput):
             house(AlgebraicInt(Q, 0))
 
+    def test_past_the_float_range_is_inf(self):
+        for f in (Q, GAUSSIAN):
+            big = AlgebraicInt(f, 10**400)
+            assert house(big) == house(-big) == math.inf
+            infinite = places(big)[-1]
+            assert infinite.kind == "infinite" and infinite.modulus == math.inf
+            assert infinite.log_abs() == pytest.approx(400 * f.degree * math.log(10))
+
+    def test_rational_is_correctly_rounded(self, rng):
+        # m odd with 53 bits, then 0 and 59 ones: just below the halfway point,
+        # so 64-bit rounding first would land on it and round up to even
+        tricky = [(m << 60) + (1 << 59) - 1
+                  for m in (rng.randrange(2**52, 2**53) | 1 for _ in range(50))]
+        plain = [rng.getrandbits(rng.randint(54, 1000)) | 1 << 53 for _ in range(200)]
+        for n in tricky + plain:
+            h = house(AlgebraicInt(Q, -n))
+            below, above = math.nextafter(h, 0), math.nextafter(h, math.inf)
+            err = abs(Fraction(h) - n)
+            assert err <= abs(Fraction(below) - n) and err <= abs(Fraction(above) - n)
+
     def test_square_is_norm_exactly(self, rng):
         # house(a)^2 = |norm(a)| in imaginary quadratic rings
         for f in ALL_FIELDS[1:]:

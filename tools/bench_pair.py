@@ -3,15 +3,16 @@
     python3 tools/bench_pair.py --topic NAME [--parent REV] [--seeds N] [--only NAME]...
 
 Run from the root of an abckit checkout.  The parent commit (default HEAD)
-is exported with ``git archive`` into a temporary directory (honouring
-TMPDIR); the working tree is benchmarked as it stands, uncommitted edits
-included.  For each workload in BENCHMARK.json and each seed 101, 102,
-..., 100+N the script runs ``bench/run.py --trace 0`` once on each side, the
-parent first on even pairs and the change first on odd ones, for the run
-length BENCHMARK.json fixes.  Each per-layer probe in PROBES runs the same
-way, N times a side, each time in a fresh process.  ``--only NAME``, which
-may be repeated, restricts the run to the named workloads and probes; by
-default all of them run.
+is exported with ``git archive`` and the working tree as it stands is
+copied (uncommitted edits and untracked files that git does not ignore
+included), side by side into one temporary directory (honouring TMPDIR), so
+both sides run from fresh trees in the same place.  For each workload in
+BENCHMARK.json and each seed 101, 102, ..., 100+N the script runs
+``bench/run.py --trace 0`` once on each side, the parent first on even pairs
+and the change first on odd ones, for the run length BENCHMARK.json fixes.
+Each per-layer probe in PROBES runs the same way, N times a side, each time
+in a fresh process.  ``--only NAME``, which may be repeated, restricts the
+run to the named workloads and probes; by default all of them run.
 
 It writes ``BENCH_<topic>.json``: for each workload and end-to-end metric,
 both sides' runs, median and quartiles (IQR = q3 - q1) and the number of
@@ -26,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -245,6 +247,17 @@ def _bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+def _copy_worktree(dest: str) -> None:
+    """Copy the working tree's files that git tracks or would add into dest."""
+    listing = _run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                   ROOT)
+    for rel in sorted(set(listing.split("\0")) - {""}):
+        src = os.path.join(ROOT, rel)
+        if os.path.isfile(src):  # a tracked file deleted in the tree is left out
+            os.makedirs(os.path.join(dest, os.path.dirname(rel)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, rel))
+
+
 def _probe(tree: str, name: str) -> dict:
     code = PROBE_MAIN.format(code=PROBES[name][1])
     return json.loads(_run([sys.executable, "-c", code], tree).splitlines()[-1])
@@ -309,8 +322,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         archive = subprocess.run(["git", "archive", parent], cwd=ROOT,
                                  capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        trees = {"parent": tmp, "change": ROOT}
+        trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
+        os.mkdir(trees["parent"])
+        subprocess.run(["tar", "-x", "-C", trees["parent"]], input=archive, check=True)
+        _copy_worktree(trees["change"])
         for name in workloads:
             print(f"workload {name}", file=sys.stderr, flush=True)
             runs = _pairs(trees, len(seeds),
