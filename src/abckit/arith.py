@@ -99,9 +99,6 @@ class QuadraticField:
             powers.append(power)
         return tuple(powers)
 
-    def element(self, x: int, y: int = 0) -> "AlgebraicInt":
-        return AlgebraicInt(self, x, y)
-
     def label(self) -> str:
         if self.d is None:
             return "Q"
@@ -293,7 +290,11 @@ class FactorEntry:
 
 @dataclass(frozen=True)
 class IdealFactorization:
-    """unit * prod(prime^exponent), primes canonical and sorted by (norm, coords)."""
+    """unit * prod(prime^exponent), primes canonical.
+
+    The entries are sorted by `_entry_key`, (norm, coordinates), the one prime
+    order: the last entry is the top prime.
+    """
 
     field: QuadraticField
     unit: AlgebraicInt

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from mpmath import mp
 
-from .arith import QuadraticField, _entry_key, prime_ideals_in_norm_order
+from .arith import QuadraticField, prime_ideals_in_norm_order
 from .errors import (
     BadAlpha,
     BadParameter,
@@ -245,9 +245,9 @@ def _require_alpha(alpha, lo: float, hi: float, *, lo_open=True, hi_open=True) -
 
 
 def _ord_at_top_prime(fac) -> int:
-    """Exponent of the largest-norm prime (canonical order breaks ties); 1 for units."""
-    top = max(fac, key=_entry_key, default=None)
-    return top.exponent if top else 1
+    """Exponent of the largest-norm prime, the last entry (canonical
+    coordinates break ties); 1 for units."""
+    return fac.entries[-1].exponent if fac.entries else 1
 
 
 def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_CONFIG,

@@ -10,7 +10,6 @@ from .arith import (
     IdealFactorization,
     QuadraticField,
     RATIONALS,
-    _entry_key,
     as_element,
     factor_element,
     factor_int,
@@ -69,11 +68,10 @@ class AbcTriple:
 
 
 def _third_largest_norm(*facs: IdealFactorization) -> int:
-    """Norm of the third-largest distinct prime, counting primes once each and
-    breaking norm ties by canonical coordinates; 1 when fewer than three."""
-    entries = [e for fac in facs for e in fac]
-    entries.sort(key=_entry_key, reverse=True)
-    return entries[2].norm if len(entries) >= 3 else 1
+    """Third-largest norm among the distinct primes of facs, counted once
+    each; 1 when fewer than three."""
+    norms = sorted((e.norm for fac in facs for e in fac), reverse=True)
+    return norms[2] if len(norms) >= 3 else 1
 
 
 def selector_record(fa: IdealFactorization, fb: IdealFactorization,

@@ -191,9 +191,7 @@ class FieldRatio:
         den = lcm(self.den, other.den)
         return _ratio(self.num * (den // self.den) + other.num * (den // other.den), den)
 
-    def __mul__(self, other) -> "FieldRatio":
-        if isinstance(other, FieldRatio):
-            return _ratio(self.num * other.num, self.den * other.den)
+    def __mul__(self, other: AlgebraicInt) -> "FieldRatio":
         return _ratio(self.num * other, self.den)
 
     def __str__(self) -> str:
@@ -299,8 +297,6 @@ def strip_common_primes(
             continue
         clear = [i for i in range(3) if o[i] == 0]
         c = min(e[i] for i in clear)
-        if c < 1:
-            continue
         absorbed = next((i for i in range(3) if o[i] > 0), None)
         deficit = 0
         n0 = 0

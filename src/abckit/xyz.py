@@ -8,13 +8,14 @@ the slow-growth smoothness filter with pluggable phi functions.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
 from .arith import first_primes, is_probable_prime, primes_upto
 from .errors import BadParameter, BadPhi
-from .pool import _pool_map, worker_count
 
 NESTING_THRESHOLD = math.exp(math.e**math.e)  # four nested logs need H above this
 
@@ -119,19 +120,27 @@ def enumerate_triples(P: int, H_limit: int, workers: int = 1) -> list[SmoothTrip
     and a hit is X = Z - Y in the smooth set; Y >= ceil(Z/2) is exactly
     X <= Y.  Smooth numbers thin out as they grow, so this upper half-window
     holds far fewer candidates than the X <= Z/2 below it.  The Y list is
-    built once per Z-mask group.  Each worker takes every workers-th group in
-    order of the group's smallest member, which gives each a near equal share
-    of the probes; the result does not depend on workers.
+    built once per Z-mask group.  The groups split into min(workers, CPU
+    count) tasks, one process each; task i takes every step-th group from
+    group i in order of the groups' smallest members, which gives each a near
+    equal share of the probes.  One task, or under 64 smooth numbers, runs in
+    this process.  The result does not depend on workers.
     """
     if H_limit < 2:
         raise BadParameter("H_limit must be at least 2")
-    workers = worker_count(workers)
+    if workers < 1:
+        raise BadParameter(f"workers must be at least 1, got {workers}")
     smooth = smooth_numbers(P, H_limit)
     primes = primes_upto(min(P, H_limit))
     masks = [_support_mask(n, primes) for n in smooth]
-    step = 1 if len(smooth) < 64 else workers
+    step = 1 if len(smooth) < 64 else min(workers, os.cpu_count() or 1)
     tasks = [(smooth, masks, start, step) for start in range(step)]
-    pairs = [p for chunk in _pool_map(_join_groups, tasks, workers) for p in chunk]
+    if step == 1:
+        chunks = map(_join_groups, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=step) as pool:
+            chunks = list(pool.map(_join_groups, tasks))
+    pairs = [p for chunk in chunks for p in chunk]
     # built after the pool, so that no worker copies them
     mask_of = dict(zip(smooth, masks))
     radicals = {m: math.prod(p for i, p in enumerate(primes) if m >> i & 1) for m in set(masks)}

@@ -15,6 +15,7 @@ from abckit import (
     corollary_bound,
     empirical_min_C,
     exponent_term,
+    factor_element,
     gyory_sunit_bound,
     landau_min_constant,
     lefourn_sunit_bound,
@@ -39,6 +40,7 @@ from abckit.bounds import (
     _log_base,
     _log_height,
     _needed_C_mp,
+    _ord_at_top_prime,
     _theorem_report,
     _theorem_report_mp,
 )
@@ -50,12 +52,19 @@ from abckit.errors import (
     HypothesisFails,
     NotApplicable,
 )
+from abckit.radical import _third_largest_norm
 
 from conftest import ALL_FIELDS, random_element
 from test_radical import random_triple
 
 Q = RATIONALS
 T189 = make_triple(1, 8, -9)
+
+
+def float_kappa(G: int) -> float:
+    """logloglog G / loglog G in float64, apart from `exponent_term`'s mpmath."""
+    llg = math.log(math.log(G))
+    return math.log(llg) / llg
 
 
 class TestExponentTerm:
@@ -217,6 +226,34 @@ class TestThm3ProductDominatedByRadical:
             assert sel.n_a * sel.n_b * sel.n_c * sel.n_c_third * sel.n_q <= t.G
 
 
+def entry_sorted_key(e):
+    """The old prime order, (norm, coordinates), which the selectors used to sort by."""
+    return (e.norm, e.prime.x, e.prime.y)
+
+
+class TestPrimeOrder:
+    """The top prime and the third-largest norm read the factorization's own
+    order; the oracle is the entry-sorted rule they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(ALL_FIELDS), seed=st.integers(0, 2**32 - 1))
+    def test_top_prime_and_third_norm_match_entry_sorted_rule(self, field, seed):
+        rng = random.Random(seed)
+        v, w, u = (random_element(rng, field, 10**6) for _ in range(3))
+        # v's primes come twice and their conjugates once: norm ties with
+        # different exponents
+        facs = [factor_element(x) for x in (v * v.conjugate() * v, w, u, field.units()[-1])]
+        for fac in facs:
+            top = max(fac, key=entry_sorted_key, default=None)
+            assert _ord_at_top_prime(fac) == (top.exponent if top else 1)
+        for k in range(1, 4):
+            for group in (facs[:k], facs[-k:]):
+                entries = sorted((e for fac in group for e in fac), key=entry_sorted_key,
+                                 reverse=True)
+                expected = entries[2].norm if len(entries) >= 3 else 1
+                assert _third_largest_norm(*group) == expected
+
+
 class TestCorollaries:
     def test_not_applicable_ids(self):
         for cid in (1, 2, 8):
@@ -269,6 +306,17 @@ class TestCorollaries:
         assert scaled == pytest.approx(2 * exponent_term(30030, 1.0), rel=1e-12)
         assert scaled == pytest.approx(2 * 0.3632, abs=2e-3)
 
+    def test_cor7_sub_exponential(self):
+        # N_max < (log H)^a with a < 3/5 needs H > e^(N_max^(5/3)), so N_a = 1
+        # is planted on a triple with max(N_b, N_c) = 3 < (log H)^(1/2)
+        t = make_triple(7153, 524288, -531441)  # 23 * 311 + 2^19 = 3^12
+        t = replace(t, height_selectors=replace(t.height_selectors, n_a=1))
+        report = corollary_bound(7, t, alpha=0.5)
+        assert report.exponent_used == pytest.approx(2 * float_kappa(t.G), rel=1e-12)
+        assert report.rhs == pytest.approx(t.G ** (2 * float_kappa(t.G)), rel=1e-12)
+        assert report.lhs == pytest.approx(math.log(531441), rel=1e-15)
+        assert report.holds and report.detail == "sub-exponential, a=0.5"
+
     def test_cor9_form_selection(self):
         report = corollary_bound(9, T189, alpha=0.7)  # max(N_b,N_c)=3 < 6^0.7
         assert report.exponent_used == pytest.approx(3 * 0.7 / 2)  # G=6: no extra term
@@ -285,6 +333,17 @@ class TestCorollaries:
         assert report.exponent_used == pytest.approx(1 / (2 - 0.5) + exponent_term(t.G, 1.0))
         with pytest.raises(HypothesisFails):
             corollary_bound(10, t, alpha=0.5, form=2)
+
+    def test_cor10_sub_exponential(self):
+        t = make_triple(7153, 524288, -531441)  # max(N_b, N_c) = 3 < log(3^12)^(1/2)
+        kappa = 0.7 / (2 - 1.5) * float_kappa(t.G)
+        for form in (None, 2):  # the strong hypothesis holds, so it is the default
+            report = corollary_bound(10, t, alpha=0.5, form=form, config=BoundConfig(C_main=0.7))
+            assert report.exponent_used == pytest.approx(kappa, rel=1e-12)
+            assert report.rhs == pytest.approx(t.G ** kappa, rel=1e-12)
+            assert report.holds and report.detail == "sub-exponential, a=0.5"
+        report = corollary_bound(10, t, alpha=0.5, form=1)
+        assert report.exponent_used == pytest.approx(1 / 1.5 + float_kappa(t.G), rel=1e-12)
 
     def test_cor11(self):
         t = make_triple(13, 35, -48)  # 13^3 <= 2730

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -131,6 +132,35 @@ class TestCommands:
         assert "NoZerosUpToBound" in out
         machine = [line for line in out.splitlines() if line.startswith("NoZeros")][-1]
         assert machine == "NoZerosUpToBound,816,30030,"
+
+    def test_sml_decide_zeros_found(self, capsys):
+        code, out, _ = run(capsys, ["sml", "decide", "--c1", "10", "--c2", "-31",
+                                    "--c3", "30", "--a0", "1", "--a1", "0", "--a2", "-12"])
+        assert code == 0
+        assert out.splitlines()[1:] == ["zeros at n = 1", "ZerosFound,3,30,1"]
+
+    def test_abc_check_theorem_3_weak_form(self, capsys):
+        code, out, _ = run(capsys, ["abc-check", "--theorem", "3", "--field", "Q",
+                                    "--a", "7153", "--b", "524288", "--c", "-531441"])
+        assert code == 0 and out.startswith("theorem 3: holds")
+        # the weak form G^(1/3 + logloglog G / loglog G), G = 2 * 3 * 23 * 311
+        label, value = out.splitlines()[1].split(" = ")
+        llg = math.log(math.log(42918))
+        assert label == "weak form rhs"
+        assert float(value) == pytest.approx(42918 ** (1 / 3 + math.log(llg) / llg), rel=1e-10)
+
+    def test_corollary(self, capsys):
+        readme = ["corollary", "--id", "10", "--alpha", "0.5", "--field", "Q",
+                  "--a", "3", "--b", "125", "--c=-128"]
+        code, out, _ = run(capsys, readme)
+        assert code == 0
+        assert out == ("corollary 10: holds lhs=4.85203026392 rhs=16.9344447624 "
+                       "margin=12.0824144984 [theta=1/(2-a), a=0.5] regime=normal\n")
+        code, out, err = run(capsys, readme[:1] + ["--id", "1"] + readme[5:])
+        assert code == 3 and out == "" and err.startswith("not applicable: corollary 1")
+        code, out, err = run(capsys, readme + ["--form", "2"])
+        assert code == 1 and out == ""
+        assert err == "input error: corollary 10: needs max(N_b, N_c) < (log H)^0.5 with a < 2/3\n"
 
     def test_sml_decide_cap_reason(self, capsys):
         code, out, _ = run(capsys, SML_FLAGSHIP + ["--cap", "100"])

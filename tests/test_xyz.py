@@ -1,4 +1,5 @@
 import math
+import os
 from bisect import bisect_right
 from math import gcd
 
@@ -16,9 +17,13 @@ from abckit import (
     thm4_status,
     verify_lemma9,
 )
+from abckit import xyz
 from abckit.arith import factor_int, primes_upto
+from abckit.cli import dispatch
 from abckit.errors import BadParameter, BadPhi
-from abckit.xyz import NESTING_THRESHOLD
+from abckit.xyz import NESTING_THRESHOLD, Thm4Result
+
+FAKE_CPUS = 4
 
 
 def brute_largest_prime_factors(limit: int) -> list[int]:
@@ -126,6 +131,72 @@ class TestEnumerateTriples:
         assert enumerate_triples(100000000003, 10) == enumerate_triples(7, 10)
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and tasks, runs serially."""
+
+    def __init__(self, log, max_workers):
+        self.log = log
+        log.append({"max_workers": max_workers})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.log[-1]["tasks"] = len(tasks)
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    log = []
+    monkeypatch.setattr(os, "cpu_count", lambda: FAKE_CPUS)
+    monkeypatch.setattr(xyz, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(log, max_workers))
+    return log
+
+
+class TestWorkers:
+    """workers >= 1, capped at the CPU count, and results that do not depend on it."""
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_below_one_rejected(self, workers):
+        with pytest.raises(BadParameter, match="workers must be at least 1"):
+            enumerate_triples(5, 2000, workers=workers)
+
+    def test_huge_count_capped_at_cpus(self, pools):
+        assert len(smooth_numbers(5, 2000)) >= 64
+        capped = enumerate_triples(5, 2000, workers=10**6)
+        assert pools == [{"max_workers": FAKE_CPUS, "tasks": FAKE_CPUS}]
+        assert capped == enumerate_triples(5, 2000, workers=1)
+
+    def test_one_worker_builds_no_pool(self, pools):
+        enumerate_triples(5, 2000, workers=1)
+        assert pools == []
+
+    def test_few_smooth_numbers_build_no_pool(self, pools):
+        assert len(smooth_numbers(5, 50)) < 64
+        assert enumerate_triples(5, 50, workers=10**6) == probe_join(5, 50)
+        assert pools == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sml", "decide", "--c1", "10", "--c2", "-31", "--c3", "30",
+         "--a0", "1", "--a1", "0", "--a2", "-12"],
+        ["calibrate", "--theorem", "2", "--H-limit", "20"],
+        ["xyz", "search", "--P", "5", "--limit", "100", "--out", os.devnull],
+    ])
+    def test_cli_rejects_zero_workers(self, capsys, argv):
+        assert dispatch(argv + ["--workers", "0"]) == 1
+        err = capsys.readouterr().err
+        if argv[0] in ("sml", "calibrate"):  # serial: neither has a --workers flag
+            assert "unrecognized arguments: --workers 0" in err
+        else:
+            assert "workers must be at least 1" in err
+
+
 class TestMaskJoinAgainstProbeJoin:
     @settings(max_examples=25, deadline=None)
     @given(P=st.sampled_from(primes_upto(31)), limit=st.integers(2, 3 * 10**4),
@@ -198,6 +269,13 @@ class TestThm4Filter:
         assert result.below_threshold == statuses.count("below-threshold")
         assert (len(result.passed) + len(result.failed)
                 + result.below_threshold) == len(triples)
+
+    def test_filter_fills_passed_and_failed(self):
+        h = 485165195  # log H = 20: the bound on S is about 116
+        small, fails, passes = (SmoothTriple(1, 8, 9, 3, 6, 9), SmoothTriple(1, 1, 2, 200, 2, h),
+                                SmoothTriple(1, 2, 3, 10, 6, h))
+        result = thm4_filter([small, fails, passes, fails], phi_id=2)
+        assert result == Thm4Result((passes,), (fails, fails), 1)
 
     def test_bad_phi(self):
         with pytest.raises(BadPhi):
