@@ -20,7 +20,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log, prod
 
 from .errors import BadParameter, FactoringLimit, ParseError, UnsupportedField, ZeroInput
 
@@ -363,17 +363,11 @@ def primes_upto(n: int) -> list[int]:
 
 
 def first_primes(k: int) -> list[int]:
-    """The first k rational primes (p_k < 2k log k for k >= 3 gives the sieve bound)."""
+    """The first k rational primes; the sieve bound covers p_k, since
+    p_k < k (log k + log log k) <= 2k log k for k >= 6 (Rosser-Schoenfeld)."""
     if k < 1:
         raise BadParameter("k must be positive")
-    from math import log
-
-    bound = 13 if k <= 6 else int(2 * k * log(k)) + 10
-    ps = primes_upto(bound)
-    while len(ps) < k:
-        bound *= 2
-        ps = primes_upto(bound)
-    return ps[:k]
+    return primes_upto(13 if k <= 6 else int(2 * k * log(k)) + 10)[:k]
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -675,7 +669,6 @@ def _cornacchia_4p(D: int, p: int) -> tuple[int, int] | None:
     return (b, v) if v * v == v2 else None
 
 
-@lru_cache(maxsize=1 << 16)
 def splitting_type(field: QuadraticField, p: int) -> str:
     """'ramified' iff p | disc; odd p splits iff disc is a nonzero QR mod p;
     p = 2 follows disc mod 8 (split at 1, inert at 5)."""

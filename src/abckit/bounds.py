@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from mpmath import mp
-
 from .arith import QuadraticField, prime_ideals_in_norm_order
 from .errors import (
     BadAlpha,
@@ -23,7 +21,7 @@ from .errors import (
     HypothesisFails,
     NotApplicable,
 )
-from .heights import MP_BITS
+from .heights import MP
 from .radical import AbcTriple, Selectors, triple_height
 
 E_SQUARED_GUARD = math.e**math.e  # below this the triple-log exponent turns negative
@@ -92,13 +90,12 @@ def exponent_term(G: int, C: float, config: BoundConfig = DEFAULT_CONFIG) -> flo
     _check_radical(G)
     if is_small_radical(G, config):
         return 0.0
-    with mp.workprec(MP_BITS):
-        lg = mp.log(G)
-        llg = mp.log(lg)
-        term = mp.log(llg) / llg
-        if config.full_exponent:
-            term += 1 / llg + llg / lg
-        return float(C * term)
+    lg = MP.log(G)
+    llg = MP.log(lg)
+    term = MP.log(llg) / llg
+    if config.full_exponent:
+        term += 1 / llg + llg / lg
+    return float(C * term)
 
 
 def _regime(G: int, config: BoundConfig) -> str:
@@ -113,8 +110,16 @@ def _report(theorem: str, lhs: float, rhs: float, exponent: float, regime: str,
 
 
 def _log_height(triple: AbcTriple) -> float:
-    with mp.workprec(MP_BITS):
-        return float(mp.log(triple_height(triple)))
+    return float(MP.log(triple_height(triple)))
+
+
+def _power(G: int, a: float):
+    """G ** a as Python's float below 2^1024; past the float range an mpf,
+    which compares exactly with an int."""
+    try:
+        return G**a
+    except OverflowError:
+        return MP.mpf(G) ** a
 
 
 def _log_base(sel: Selectors, theorem: int) -> float:
@@ -199,10 +204,9 @@ def _theorem_report_mp(theorem: int, triple: AbcTriple, config: BoundConfig) -> 
     mpmath at 64 bits: the fallback and oracle of `_theorem_report`."""
     lhs = _log_height(triple)
     term = exponent_term(triple.G, config.C_main, config)
-    with mp.workprec(MP_BITS):
-        log_g = mp.log(triple.G)
-        rhs = float(mp.exp(_log_base(triple.height_selectors, theorem) + term * log_g))
-        weak = float(mp.exp((mp.mpf(1) / 3 + term) * log_g)) if theorem == 3 else None
+    log_g = MP.log(triple.G)
+    rhs = float(MP.exp(_log_base(triple.height_selectors, theorem) + term * log_g))
+    weak = float(MP.exp((MP.mpf(1) / 3 + term) * log_g)) if theorem == 3 else None
     return _report(f"thm{theorem}", lhs, rhs, term, _regime(triple.G, config),
                    weak_rhs=weak)
 
@@ -278,8 +282,7 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
     ord_top_c = _ord_at_top_prime(fc)
 
     def power_of_G(theta: float, extra_term: float, detail: str) -> BoundReport:
-        with mp.workprec(MP_BITS):
-            rhs = float(mp.mpf(G) ** (theta + extra_term))
+        rhs = float(MP.mpf(G) ** (theta + extra_term))
         return _report(f"cor{cid}", lhs, rhs, theta + extra_term, regime, detail=detail)
 
     if cid == 3:
@@ -298,7 +301,7 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
 
     if cid == 5:
         a = _require_alpha(alpha, 0, 1, hi_open=False)
-        if not max(sel.n_b, sel.n_c) < G**a:
+        if not max(sel.n_b, sel.n_c) < _power(G, a):
             raise HypothesisFails(5, f"needs max(N_b, N_c) < G^{a}")
         return power_of_G((1 + 2 * a) / 3, term, f"theta=(1+2a)/3, a={a}")
 
@@ -317,12 +320,12 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
 
     if cid == 9:
         a = _require_alpha(alpha, 0, 1)
-        strong = max(sel.n_b, sel.n_c) < G**a
+        strong = max(sel.n_b, sel.n_c) < _power(G, a)
         if form == 2 or (form is None and strong):
             if not strong:
                 raise HypothesisFails(9, f"needs max(N_b, N_c) < G^{a}")
             return power_of_G(3 * a / 2, term, f"theta=3a/2, a={a}")
-        if not (sel.n_c < G**a or max_ord_c < G**a):
+        if not (sel.n_c < _power(G, a) or max_ord_c < _power(G, a)):
             raise HypothesisFails(9, f"needs N_c < G^{a} or max ord_c < G^{a}")
         return power_of_G((1 + a) / 2, term, f"theta=(1+a)/2, a={a}")
 
@@ -341,16 +344,16 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
         return power_of_G(1 / (2 - a), term, f"theta=1/(2-a), a={a}")
 
     if cid == 11:
-        if form != 1 and n_max <= G ** (1 / 3):
+        if form != 1 and n_max <= _power(G, 1 / 3):
             return power_of_G(1 / 2, term, "theta=1/2 (N_max <= G^(1/3))")
         a = _require_alpha(alpha, 1 / 3, 1, hi_open=False)
-        if not (n_max > G**a and sel.n_a == n_max):
+        if not (n_max > _power(G, a) and sel.n_a == n_max):
             raise HypothesisFails(11, f"needs N_a = N_max > G^{a}")
         return power_of_G((3 - 3 * a) / 2, term, f"theta=(3-3a)/2, a={a}")
 
     if cid == 12:
         a = _require_alpha(alpha, 0, 1, hi_open=False)
-        if not ord_top_c < G**a:
+        if not ord_top_c < _power(G, a):
             raise HypothesisFails(12, f"needs ord at the top prime of c < G^{a}")
         return power_of_G(max(a, 3 / 4), term, f"theta=max(a, 3/4), a={a}")
 
@@ -358,10 +361,9 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
         a = _require_alpha(alpha, 0, 1)
         if not ord_top_c < lhs**a:
             raise HypothesisFails(13, f"needs ord at the top prime of c < (log H)^{a}")
-        with mp.workprec(MP_BITS):
-            g_branch = mp.mpf(G) ** (3 / 4 + term)
-            log_branch = C * mp.log(G) ** (1 / (1 - a))
-            rhs = float(max(g_branch, log_branch))
+        g_branch = MP.mpf(G) ** (3 / 4 + term)
+        log_branch = C * MP.log(G) ** (1 / (1 - a))
+        rhs = float(max(g_branch, log_branch))
         return _report(f"cor{cid}", lhs, rhs, 3 / 4 + term, regime,
                        detail=f"max(G^(3/4+term), C*(log G)^(1/(1-a))), a={a}")
 
@@ -395,25 +397,23 @@ def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
     if any(h < 0 for h in heights):
         raise BadParameter("heights are nonnegative")
     n, d = n_terms, degree
-    with mp.workprec(MP_BITS):
-        floor_h = 1 / (16 * mp.e**2 * d**2)
-        out = (16 * mp.e * d) ** (2 * (n + 1))
-        out *= mp.mpf(n) ** mp.mpf(2.5)
-        out *= mp.log(2 * n * d) * mp.log(2 * d)
-        out *= mp.mpf(e_p) ** n
-        out *= norm_p / mp.log(norm_p) ** 2
-        for h in heights:
-            out *= max(mp.mpf(h), floor_h)
-        out *= mp.log(B)
-        return float(out)
+    floor_h = 1 / (16 * MP.e**2 * d**2)
+    out = (16 * MP.e * d) ** (2 * (n + 1))
+    out *= MP.mpf(n) ** MP.mpf(2.5)
+    out *= MP.log(2 * n * d) * MP.log(2 * d)
+    out *= MP.mpf(e_p) ** n
+    out *= norm_p / MP.log(norm_p) ** 2
+    for h in heights:
+        out *= max(MP.mpf(h), floor_h)
+    out *= MP.log(B)
+    return float(out)
 
 
 def tidy_bound(x: float) -> float:
     """max(e, 2x log x): any a with a / log a < x satisfies a < tidy_bound(x)."""
     if not (0 < x < math.inf):
         raise BadParameter("x must be positive and finite")
-    with mp.workprec(MP_BITS):
-        return float(max(mp.e, 2 * x * mp.log(x)))
+    return float(max(MP.e, 2 * x * MP.log(x)))
 
 
 def landau_min_constant(field: QuadraticField, R: int) -> float:
@@ -426,13 +426,12 @@ def landau_min_constant(field: QuadraticField, R: int) -> float:
     if R < 1:
         raise BadParameter("R must be at least 1")
     ideals = prime_ideals_in_norm_order(field, R)
-    with mp.workprec(MP_BITS):
-        log_prod = mp.mpf(0)
-        best = mp.mpf(0)
-        for r, entry in enumerate(ideals, start=1):
-            log_prod += mp.log(entry.norm) - mp.log(mp.log(entry.norm))
-            best = max(best, mp.exp(mp.log(r) - log_prod / r))
-        return float(best)
+    log_prod = MP.mpf(0)
+    best = MP.mpf(0)
+    for r, entry in enumerate(ideals, start=1):
+        log_prod += MP.log(entry.norm) - MP.log(MP.log(entry.norm))
+        best = max(best, MP.exp(MP.log(r) - log_prod / r))
+    return float(best)
 
 
 def _check_constants(**constants: float) -> None:
@@ -464,12 +463,16 @@ def gyory_sunit_bound(h_alpha: float, h_beta: float, t: int = 0, P: float = 1.0,
         return max(math.log(x), 1.0)
 
     script_r = max(float(class_number), C13 * R)
+    try:
+        power = script_r ** (t + 1)
+    except OverflowError:  # past the float range: inf, as house returns
+        power = math.inf
     return (
         C14
         * class_number
         * R
         * logstar(R)
-        * script_r ** (t + 1)
+        * power
         * logstar(script_r)
         * (P / logstar(P))
         * R_S
@@ -510,7 +513,7 @@ def _needed_C_mp(triple: AbcTriple, theorem: int, config: BoundConfig) -> float 
     log_base = _log_base(triple.height_selectors, theorem)
     _check_radical(triple.G)
     lhs = _log_height(triple)
-    if lhs <= math.exp(log_base):
+    if log_base > _EXP_MAX or lhs <= math.exp(log_base):  # base > e^700 > log H
         return None
     kappa_log_g = exponent_term(triple.G, 1.0, config) * math.log(triple.G)
     if kappa_log_g <= 0:
@@ -560,6 +563,8 @@ def empirical_min_C(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
     for triple in triples:
         log_base = _log_base(triple.height_selectors, theorem)
         _check_radical(triple.G)
+        if log_base > _EXP_MAX:  # base > e^700, above log H of any H in memory
+            continue
         lhs = math.log(triple_height(triple))
         base = math.exp(log_base)
         err_l = _ERR_UNIT * (lhs + 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
 
-from mpmath import mp
+import mpmath
 
 from .arith import (
     AlgebraicInt,
@@ -34,6 +34,8 @@ from .arith import (
 from .errors import AllZero, BadParameter, ZeroInput
 
 MP_BITS = 64  # mpmath's working precision, the float filter's reference in bounds
+MP = mpmath.MPContext()  # every mpmath value, never at the caller's mpmath.mp.prec
+MP.prec = MP_BITS
 
 
 @dataclass(frozen=True)
@@ -55,13 +57,10 @@ class PlaceValue:
 
     def log_abs(self) -> float:
         """log |x|_v under the product-formula normalization."""
-        with mp.workprec(MP_BITS):
-            if self.kind == "finite":
-                return float(-self.exponent * mp.log(self.norm))
-            sq = self.sq_modulus
-            return float(
-                self.local_degree * (mp.log(sq.numerator) - mp.log(sq.denominator)) / 2
-            )
+        if self.kind == "finite":
+            return float(-self.exponent * MP.log(self.norm))
+        sq = self.sq_modulus
+        return float(self.local_degree * (MP.log(sq.numerator) - MP.log(sq.denominator)) / 2)
 
 
 def places(num, den=None, field: QuadraticField | None = None) -> list[PlaceValue]:
@@ -84,8 +83,7 @@ def places(num, den=None, field: QuadraticField | None = None) -> list[PlaceValu
     else:
         # |sigma(x)|^2 is exactly the norm ratio for imaginary quadratic fields
         sq = Fraction(abs(num.norm()), abs(den.norm()))
-        with mp.workprec(MP_BITS):
-            modulus = float(mp.sqrt(mp.mpf(sq.numerator) / sq.denominator))
+        modulus = float(MP.sqrt(MP.mpf(sq.numerator) / sq.denominator))
     out.append(PlaceValue(kind="infinite", modulus=modulus, local_degree=num.field.degree,
                           sq_modulus=sq))
     return out
@@ -146,8 +144,7 @@ def projective_height(coords, field: QuadraticField | None = None) -> Fraction:
 
 def log_projective_height(coords, field: QuadraticField | None = None) -> float:
     h = projective_height(coords, field)
-    with mp.workprec(MP_BITS):
-        return float(mp.log(h.numerator) - mp.log(h.denominator))
+    return float(MP.log(h.numerator) - MP.log(h.denominator))
 
 
 def house(alpha: AlgebraicInt) -> float:
@@ -160,8 +157,7 @@ def house(alpha: AlgebraicInt) -> float:
         raise ZeroInput("house of 0 is not defined")
     if alpha.field.degree == 1:
         return _to_float(abs(alpha.x))
-    with mp.workprec(MP_BITS):
-        return float(mp.sqrt(abs(alpha.norm())))
+    return float(MP.sqrt(abs(alpha.norm())))
 
 
 def _to_float(x: int | Fraction) -> float:

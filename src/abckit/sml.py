@@ -39,9 +39,7 @@ from .errors import (
     UnsupportedField,
     ZeroInput,
 )
-from .heights import MP_BITS, weil_height
-
-from mpmath import mp
+from .heights import MP, weil_height
 
 HARD_ENUMERATION_LIMIT = 10**9
 DEFAULT_CAP = 10**6
@@ -338,8 +336,7 @@ def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> fl
     if h_max <= 0:
         raise DegenerateHeight("largest root height must be positive")
     term = exponent_term(G, config.C_main, config)
-    with mp.workprec(MP_BITS):
-        return float(mp.mpf(G) ** (mp.mpf(1) / 3 + term) / h_max)
+    return float(MP.mpf(G) ** (MP.mpf(1) / 3 + term) / h_max)
 
 
 def _companion_power(spec: RecurrenceSpec, n: int, modulus: int | None = None):

@@ -31,7 +31,7 @@ from abckit import (
     yu_ord_bound,
     zero_bound,
 )
-from abckit.arith import prime_ideals_in_norm_order
+from abckit.arith import prime_ideals_in_norm_order, primes_upto
 from abckit import bounds
 from abckit.bounds import (
     BoundConfig,
@@ -326,6 +326,8 @@ class TestCorollaries:
         assert report.exponent_used == pytest.approx((1 + 0.6) / 2)
         with pytest.raises(HypothesisFails):
             corollary_bound(9, T189, alpha=0.6, form=2)
+        with pytest.raises(HypothesisFails):  # N_c = 3 and max ord 2 exceed 6^0.3
+            corollary_bound(9, T189, alpha=0.3, form=1)
 
     def test_cor10(self):
         t = make_triple(3, 125, -128)
@@ -333,6 +335,8 @@ class TestCorollaries:
         assert report.exponent_used == pytest.approx(1 / (2 - 0.5) + exponent_term(t.G, 1.0))
         with pytest.raises(HypothesisFails):
             corollary_bound(10, t, alpha=0.5, form=2)
+        with pytest.raises(HypothesisFails):  # N_c = 2 and max ord 7 exceed log(128)^0.3
+            corollary_bound(10, t, alpha=0.3, form=1)
 
     def test_cor10_sub_exponential(self):
         t = make_triple(7153, 524288, -531441)  # max(N_b, N_c) = 3 < log(3^12)^(1/2)
@@ -491,6 +495,11 @@ class TestSUnitEvaluators:
         v1 = gyory_sunit_bound(2.0, 3.0, t=1, P=7.0, R=2.0, R_S=2.0)
         v2 = gyory_sunit_bound(2.0, 3.0, t=2, P=7.0, R=2.0, R_S=2.0)
         assert 0 < v1 < v2  # extra places only enlarge the bound
+
+    def test_gyory_past_the_float_range_is_inf(self):
+        assert gyory_sunit_bound(1.0, 1.0, t=2000, P=2.0, R=2.0) == math.inf
+        # R * script_r^(t+1) * P with log* 2 = 1: 2 * 2^1001 * 2 still fits
+        assert gyory_sunit_bound(1.0, 1.0, t=1000, P=2.0, R=2.0) == 2.0**1003
 
     def test_lefourn_branches(self):
         small = lefourn_sunit_bound(1.0, 2.0, degree=2, t=1, R_S=3.0, C118=2.5)
@@ -766,6 +775,32 @@ class TestCalibrationFloatFilter:
         assert (empirical_min_C(dataset, theorem, config)
                 == empirical_min_c_mp(dataset, theorem, config))
 
+    def test_rows_near_the_base_take_the_mpmath_row(self, primitive_300, monkeypatch):
+        """A wider filter sends rows with log H near the base to `_needed_C_mp`
+        inside the loop; the result is still the all-mpmath one."""
+        err_unit = 2.0**-10
+        calls = []
+
+        def spy(triple, theorem, config):
+            c_row = _needed_C_mp(triple, theorem, config)
+            calls.append((triple, theorem, c_row))
+            return c_row
+
+        monkeypatch.setattr(bounds, "_ERR_UNIT", err_unit)
+        monkeypatch.setattr(bounds, "_needed_C_mp", spy)
+        for theorem in (1, 2, 3):
+            dataset = primitive_300
+            if theorem == 3:
+                dataset = [t for t in dataset if t.G > DEFAULT_CONFIG.G_min]
+            assert empirical_min_C(dataset, theorem) == empirical_min_c_mp(dataset, theorem)
+        near_rows_with_c = []
+        for triple, theorem, c_row in calls:
+            lhs = _log_height(triple)
+            base = math.exp(_log_base(triple.height_selectors, theorem))
+            if c_row is not None and lhs <= base + err_unit * (lhs + 1):
+                near_rows_with_c.append(triple)  # only the loop sends such rows
+        assert near_rows_with_c
+
     @pytest.mark.parametrize("d", [None, -1, -7])
     @pytest.mark.parametrize("theorem", [1, 2, 3])
     def test_bit_identical_on_the_bisection_datasets(self, d, theorem):
@@ -851,3 +886,67 @@ class TestGlobalMpmathPrecision:
                 assert self.values() == want
         finally:
             mp.prec = saved
+
+
+@pytest.fixture(scope="module")
+def primorial_triple():
+    """1 + 1019# = p with p prime (a primorial prime), so G = 1019# p has
+    2,820 bits: past the float range."""
+    a = math.prod(primes_upto(1019))
+    return make_triple(1, a, -(a + 1))
+
+
+class TestPastTheFloatRange:
+    """Values past 2^1024 come back as inf or as a typed error; below it every
+    decision is the one the float expressions G**a and math.exp take."""
+
+    def test_corollaries_give_inf_or_hypothesis_fails(self, primorial_triple):
+        t = primorial_triple
+        assert t.G.bit_length() == 2820
+        # N_c = 1019# + 1 is about G^(1/2), so it is above G^0.4, below G^0.6
+        for cid, alpha in [(5, 0.6), (9, 0.6), (12, 0.5)]:
+            report = corollary_bound(cid, t, alpha=alpha)
+            assert report.rhs == report.margin == math.inf and report.holds
+        for cid, alpha, form in [(5, 0.4, None), (9, 0.4, 2), (11, 0.5, None)]:
+            with pytest.raises(HypothesisFails):
+                corollary_bound(cid, t, alpha=alpha, form=form)
+        assert corollary_bound(9, t, alpha=0.4).detail == "theta=(1+a)/2, a=0.4"
+
+    def test_calibration_skips_rows_whose_base_is_past_exp(self, primorial_triple):
+        rows = [primorial_triple, T189]
+        assert _log_base(primorial_triple.height_selectors, 2) > 700
+        for theorem in (1, 2):
+            assert empirical_min_C(rows, theorem) == empirical_min_c_mp(rows, theorem) == 0.0
+        assert _needed_C_mp(primorial_triple, 3, DEFAULT_CONFIG) is None
+
+    def test_cli_corollary_prints_no_traceback(self, primorial_triple, capsys):
+        from abckit.cli import dispatch
+
+        t = primorial_triple
+        args = ["corollary", "--id", "5", "--field", "Q", "--a", str(t.a),
+                "--b", str(t.b), f"--c={t.c}", "--alpha"]
+        assert dispatch(args + ["0.4"]) == 1
+        assert "corollary 5" in capsys.readouterr().err
+        assert dispatch(args + ["0.6"]) == 0
+        assert "rhs=inf" in capsys.readouterr().out
+
+    def test_below_the_float_range_matches_the_float_expressions(self, monkeypatch):
+        rng = random.Random(17)
+        triples = [random_triple(rng, f, size) for f in ALL_FIELDS
+                   for size in (30, 10**4, 10**9, 10**15) for _ in range(4)]
+        triples += [T189, make_triple(3, 125, -128), make_triple(13, 35, -48),
+                    make_triple(7, 9, -16)]
+
+        def outcomes():
+            return [_outcome(corollary_bound, cid, t, alpha=alpha, form=form)
+                    for t in triples for cid in (5, 9, 11, 12)
+                    for alpha in (0.1, 0.35, 0.5, 0.9, 1.0) for form in (None, 1, 2)]
+
+        # up to the largest int that float() takes, G ** a is Python's float
+        for G in [t.G for t in triples] + [(1 << 1023) + 1, (1 << 1024) - (1 << 970) - 1]:
+            for a in (1 / 3, 0.55, 1.0):
+                assert type(bounds._power(G, a)) is float and bounds._power(G, a) == G**a
+        want = outcomes()
+        monkeypatch.setattr(bounds, "_power", lambda G, a: G**a)
+        assert outcomes() == want
+        assert sum(isinstance(o, tuple) for o in want) > 100  # both decisions occur

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,10 @@ class TestCommands:
         code, out, _ = run(capsys, ["height", "--num",
                                     "42535295865117307778430344311653531707"])
         assert code == 0 and out == "h = 86.64339757\n"
+
+    def test_height_needs_coords_or_num(self, capsys):
+        code, _, err = run(capsys, ["height", "--field", "Q"])
+        assert code == 1 and "either --coords or --num" in err
 
     def test_height_ratio(self, capsys):
         code, out, _ = run(capsys, ["height", "--field", "Q", "--num", "3", "--den", "2"])
@@ -239,6 +244,12 @@ class TestCsvRoundTrip:
         write_csv(rewritten, header, [[r[h] for h in header] for r in rows])
         assert open(out_path).read() == open(rewritten).read()
 
+    def test_rationals_come_back_as_fractions(self, tmp_path):
+        path = os.fspath(tmp_path / "rationals.csv")
+        write_csv(path, ["q", "x", "s"], [[Fraction(-3, 8), 0.5, "1/0"]])
+        assert read_csv(path) == (["q", "x", "s"],
+                                  [{"q": Fraction(-3, 8), "x": 0.5, "s": "1/0"}])
+
     def test_unwritable_out_is_input_error(self, capsys, tmp_path):
         out_path = os.fspath(tmp_path / "missing" / "triples.csv")
         code, _, err = run(capsys, ["xyz", "search", "--P", "5", "--limit", "100",
@@ -287,6 +298,15 @@ class TestConfigFiles:
         with pytest.raises(BadValue) as info:
             load_config(os.fspath(path))
         assert info.value.key == "G_min"
+
+    def test_booleans(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("full_exponent = no\n")
+        assert load_config(os.fspath(path)).full_exponent is False
+        path.write_text("full_exponent = maybe\n")
+        with pytest.raises(BadValue) as info:
+            load_config(os.fspath(path))
+        assert info.value.key == "full_exponent" and "expected a boolean" in str(info.value)
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"

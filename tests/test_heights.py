@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from abckit import (
     projective_height,
     weil_height,
 )
+import abckit
+from abckit import heights
 from abckit.arith import primes_above
 from abckit.errors import AllZero, BadParameter, ZeroInput
 
@@ -265,3 +269,20 @@ class TestCorrectedExponentBound:
                 for entry in factor_element(coord):
                     assert Fraction(entry.norm) ** entry.exponent <= h
             checked += 1
+
+
+def test_heights_owns_the_only_mpmath_context():
+    """Every mpmath value goes through heights.MP at MP_BITS: no other module
+    imports mpmath, and none sets a working precision call by call."""
+    assert heights.MP.prec == heights.MP_BITS == 64
+    for path in sorted(Path(abckit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                modules = []
+            if path.stem != "heights":
+                assert not [m for m in modules if m.split(".")[0] == "mpmath"], path.name
+            assert not (isinstance(node, ast.Attribute) and node.attr == "workprec"), path.name
