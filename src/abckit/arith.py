@@ -458,15 +458,19 @@ def is_probable_prime(n: int) -> bool:
     return _is_strong_prp(n, 2) and _is_strong_lucas_prp(n)
 
 
-# Squarings rho may spend on one composite, over all its restarts.  The most
-# any norm of the benchmark's quad_reports catalogue needs is 408,830 (for
-# 22729236581 * 139436804893); the cap is 20 times that.
-_RHO_STEP_CAP = 1 << 23
+# Squarings rho spends on a part known to be composite before it hands the
+# part to ECM.  Rho's cost grows as the square root of the smaller prime and
+# ECM's far slower, so ECM at its first level is the cheaper of the two once
+# rho has run this long.  Over quad_reports seeds 1-3 rho hands over 96 of
+# the 2,066 composite parts it gets, those left with a second prime of more
+# than about 24 bits.
+_RHO_HANDOVER = 1 << 13
 
 
 def _brent_rho(n: int, rng: random.Random, tested: bool = False) -> int:
-    """A nontrivial factor of odd n > 1, or n itself when n is prime (Brent's
-    cycle variant).
+    """A nontrivial factor of odd n > 1, n itself when n is prime, or 1 when
+    n is composite and rho has spent _RHO_HANDOVER squarings on it, counted
+    across restarts (Brent's cycle variant).
 
     Unless n is already `tested` (known composite), rho runs before n's
     primality is known: only a doubling round that would take the squarings
@@ -474,26 +478,22 @@ def _brent_rho(n: int, rng: random.Random, tested: bool = False) -> int:
     by one `is_probable_prime(n)`.  So a large composite with a small prime
     factor splits without a test at its own size, and a prime costs about
     twice its test.  A composite n goes through the same steps and gives the
-    same factor either way.
-
-    Raises FactoringLimit rather than start a doubling round that would take
-    the squarings, counted across restarts, past _RHO_STEP_CAP.
+    same factor either way.  Rho gives up, returning 1, only before a
+    doubling round that would take the squarings past _RHO_HANDOVER and only
+    once n is known to be composite, so a prime never reaches ECM.
     """
-    steps, budget = 0, min(n.bit_length(), _RHO_STEP_CAP)
+    steps = 0
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g, r, q = 1, 1, 1
         x = ys = y
         while g == 1:
-            if not tested and steps + 2 * r > budget:
+            if not tested and steps + 2 * r > n.bit_length():
                 if is_probable_prime(n):
                     return n
                 tested = True
-            if steps + 2 * r > _RHO_STEP_CAP:
-                raise FactoringLimit(
-                    f"rho found no factor of the {n.bit_length()}-bit composite {n} "
-                    f"in {steps} steps; its prime factors are too large"
-                )
+            if tested and steps + 2 * r > _RHO_HANDOVER:
+                return 1
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -515,6 +515,127 @@ def _brent_rho(n: int, rng: random.Random, tested: bool = False) -> int:
                 steps += 1
         if g != n:
             return g
+
+
+# ---------------------------------------------------------------------------
+# Lenstra's elliptic curve method on Montgomery's x-only curves
+
+# (B1, B2, curves): ECM runs each level's curves in turn.  The first level
+# splits what rho hands over on the quad_reports norms in about two curves;
+# the others are the usual B1 table for 15-, 20- and 25-digit primes, with
+# fewer curves at the last so that a part past them all fails in about a
+# minute.
+_ECM_LEVELS = ((250, 15_000, 20), (2_000, 200_000, 25), (11_000, 1_100_000, 90),
+               (50_000, 5_000_000, 150))
+_ECM_D = 210
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """k * (x : z) for k >= 1 on the curve with (A + 2)/4 = a24, by
+    Montgomery's ladder from R0 = 0 = (1 : 0) and R1 = P: R0 = iP and
+    R1 = (i + 1)P throughout, so R0 + R1 has the known difference P."""
+    x0, z0, x1, z1 = 1, 0, x, z
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+        # R1 <- R0 + R1 (`_xadd`, inlined: stage 1 is half of ECM's time), R0 <- 2 R0
+        u, v = (x0 - z0) * (x1 + z1) % n, (x0 + z0) * (x1 - z1) % n
+        x1, z1 = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        s, t = (x0 + z0) ** 2 % n, (x0 - z0) ** 2 % n
+        x0, z0 = s * t % n, (s - t) * (t + a24 * (s - t)) % n
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+    return x0, z0
+
+
+def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int],
+          n: int) -> tuple[int, int]:
+    """P + Q from x-coordinates, given P - Q (not the point at infinity)."""
+    u, v = (p[0] - p[1]) * (q[0] + q[1]) % n, (p[0] + p[1]) * (q[0] - q[1]) % n
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+@lru_cache(maxsize=None)
+def _stage1_scalar(B1: int) -> int:
+    """The product over primes p <= B1 of the largest power of p that is <= B1."""
+    k = 1
+    for p in primes_upto(B1):
+        q = p
+        while q * p <= B1:
+            q *= p
+        k *= q
+    return k
+
+
+@lru_cache(maxsize=None)
+def _stage2_steps(B1: int, B2: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(m, js) in increasing m: each prime q in (B1, B2] is m*D + j or m*D - j
+    for one giant step m and one j in js, odd, coprime to D and below D/2."""
+    steps: dict[int, set[int]] = {}
+    for q in primes_upto(B2)[len(primes_upto(B1)):]:
+        m, j = divmod(q, _ECM_D)
+        if j > _ECM_D // 2:
+            m, j = m + 1, _ECM_D - j
+        steps.setdefault(m, set()).add(j)
+    return tuple((m, tuple(sorted(js))) for m, js in sorted(steps.items()))
+
+
+def _ecm_curve(n: int, sigma: int, B1: int, B2: int) -> int:
+    """gcd(n, Z) after stage 1 on Suyama's curve for sigma >= 6, or else
+    gcd(n, the stage 2 product); B1 >= D/2, so every giant step m is at
+    least 1 (Montgomery 1987, section 10).
+
+    Stage 1 multiplies the start point Q by every prime power up to B1, so
+    p | n turns up when the order of Q mod p divides that product.  Stage 2
+    then catches an order that has one more prime q in (B1, B2]: with
+    q = m*D +- j, q*Q = 0 mod p makes x(m*D*Q) = x(j*Q) mod p whichever the
+    sign, so one cross product covers both m*D + j and m*D - j.
+    """
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    den = 16 * u ** 3 * v % n
+    g = gcd(den, n)
+    if g != 1:
+        return g
+    a24 = (v - u) ** 3 * (3 * u + v) * pow(den, -1, n) % n
+    point = _ladder(_stage1_scalar(B1), u ** 3 % n, v ** 3 % n, a24, n)
+    g = gcd(point[1], n)
+    if g != 1:
+        return g
+    two = _ladder(2, *point, a24, n)
+    odd = [point, _xadd(two, point, point, n)]  # odd[i] = (2i + 1) * point
+    while len(odd) < _ECM_D // 4:
+        odd.append(_xadd(odd[-1], two, odd[-2], n))
+    steps = _stage2_steps(B1, B2)
+    step = _ladder(_ECM_D, *point, a24, n)
+    m = steps[0][0]
+    giant = _ladder(m * _ECM_D, *point, a24, n)
+    ahead = _ladder((m + 1) * _ECM_D, *point, a24, n)
+    acc = 1
+    for target, js in steps:
+        while m < target:
+            m, giant, ahead = m + 1, ahead, _xadd(ahead, step, giant, n)
+        xg, zg = giant
+        for j in js:
+            xj, zj = odd[j >> 1]
+            acc = acc * (xg * zj - xj * zg) % n
+    return gcd(acc, n)
+
+
+def _ecm(n: int) -> int:
+    """A nontrivial factor of the odd composite n, by the curves of each level
+    of _ECM_LEVELS in turn.  Their sigmas come from random.Random(n), so the
+    factor found is deterministic.  Raises FactoringLimit after the last
+    level's curves."""
+    rng = random.Random(n)
+    for B1, B2, curves in _ECM_LEVELS:
+        for _ in range(curves):
+            g = _ecm_curve(n, rng.randrange(6, n - 1), B1, B2)
+            if 1 < g < n:
+                return g
+    raise FactoringLimit(
+        f"ECM found no factor of the {n.bit_length()}-bit composite {n} with "
+        f"curves up to B1 = {B1}; its prime factors are too large"
+    )
 
 
 _SMALL_LIMIT = 1 << 16
@@ -561,13 +682,14 @@ def _factor_nat(n: int) -> tuple[tuple[int, int], ...]:
     size: 300 random primes in (2^16, 2^18), 5,158 bits, take 0.55 s, not
     19.7 s.
 
-    Rho stops after _RHO_STEP_CAP = 2^23 squarings.  On 40 random semiprimes
-    it needed 0.8 to 4.5 sqrt(p) steps (median 2) for the smaller factor p.
-    A composite part with a prime factor below 2^36 (about 6.9e10) therefore
-    splits with room to spare: 4.5 * 2^18 steps is a seventh of the cap.  A
-    part whose prime factors all exceed about 2^46 (7e13) needs more than the
-    cap in most cases (2 * 2^23 steps at the median) and raises
-    FactoringLimit, exit 1 in the CLI, after about 6 s on a 2-vCPU Xeon.
+    Rho finds a prime below about 2^24 within _RHO_HANDOVER = 2^13
+    squarings.  A part it has not split by then, once known to be composite,
+    goes to ECM (`_ecm`), whose cost grows far more slowly with the size of
+    the smaller prime: its first level, B1 = 250, splits a part whose second
+    prime has 24 to 35 bits in about two curves.  (2^61 - 1)(2^64 - 59)
+    splits in about a second.  A part whose prime factors all exceed about
+    2^80 usually outlasts the last level's curves and raises FactoringLimit,
+    exit 1 in the CLI, after about a minute.
     """
     out: dict[int, int] = {}
     if n <= 1:
@@ -587,6 +709,8 @@ def _factor_nat(n: int) -> tuple[tuple[int, int], ...]:
             g = m
         else:
             g = _brent_rho(m, random.Random(m), tested=m <= huge)
+            if g == 1:
+                g = _ecm(m)
         if g == m:
             out[m] = out.get(m, 0) + 1
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .arith import QuadraticField, prime_ideals_in_norm_order
 from .errors import (
@@ -120,6 +121,23 @@ def _power(G: int, a: float):
         return G**a
     except OverflowError:
         return MP.mpf(G) ** a
+
+
+def _compare_power(N: int, G: int, a: float) -> int:
+    """The sign of N - G^a for N >= 0 and a >= 0.
+
+    When a is the float nearest to a fraction p/q with q <= 256, which takes
+    in every alpha with at most 8 binary places, such as 0.5, and also 1/3,
+    the sign is exact: that of N^q - G^p in integers.  Any other exponent is
+    compared with `_power(G, a)`, so an N within rounding of G^a may land on
+    the wrong side.
+    """
+    f = Fraction(a).limit_denominator(256)
+    if float(f) == a:
+        lhs, rhs = N**f.denominator, G**f.numerator
+    else:
+        lhs, rhs = N, _power(G, a)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def _log_base(sel: Selectors, theorem: int) -> float:
@@ -301,7 +319,7 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
 
     if cid == 5:
         a = _require_alpha(alpha, 0, 1, hi_open=False)
-        if not max(sel.n_b, sel.n_c) < _power(G, a):
+        if _compare_power(max(sel.n_b, sel.n_c), G, a) >= 0:
             raise HypothesisFails(5, f"needs max(N_b, N_c) < G^{a}")
         return power_of_G((1 + 2 * a) / 3, term, f"theta=(1+2a)/3, a={a}")
 
@@ -320,12 +338,12 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
 
     if cid == 9:
         a = _require_alpha(alpha, 0, 1)
-        strong = max(sel.n_b, sel.n_c) < _power(G, a)
+        strong = _compare_power(max(sel.n_b, sel.n_c), G, a) < 0
         if form == 2 or (form is None and strong):
             if not strong:
                 raise HypothesisFails(9, f"needs max(N_b, N_c) < G^{a}")
             return power_of_G(3 * a / 2, term, f"theta=3a/2, a={a}")
-        if not (sel.n_c < _power(G, a) or max_ord_c < _power(G, a)):
+        if _compare_power(sel.n_c, G, a) >= 0 and _compare_power(max_ord_c, G, a) >= 0:
             raise HypothesisFails(9, f"needs N_c < G^{a} or max ord_c < G^{a}")
         return power_of_G((1 + a) / 2, term, f"theta=(1+a)/2, a={a}")
 
@@ -344,16 +362,16 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
         return power_of_G(1 / (2 - a), term, f"theta=1/(2-a), a={a}")
 
     if cid == 11:
-        if form != 1 and n_max <= _power(G, 1 / 3):
+        if form != 1 and _compare_power(n_max, G, 1 / 3) <= 0:
             return power_of_G(1 / 2, term, "theta=1/2 (N_max <= G^(1/3))")
         a = _require_alpha(alpha, 1 / 3, 1, hi_open=False)
-        if not (n_max > _power(G, a) and sel.n_a == n_max):
+        if not (_compare_power(n_max, G, a) > 0 and sel.n_a == n_max):
             raise HypothesisFails(11, f"needs N_a = N_max > G^{a}")
         return power_of_G((3 - 3 * a) / 2, term, f"theta=(3-3a)/2, a={a}")
 
     if cid == 12:
         a = _require_alpha(alpha, 0, 1, hi_open=False)
-        if not ord_top_c < _power(G, a):
+        if _compare_power(ord_top_c, G, a) >= 0:
             raise HypothesisFails(12, f"needs ord at the top prime of c < G^{a}")
         return power_of_G(max(a, 3 / 4), term, f"theta=max(a, 3/4), a={a}")
 

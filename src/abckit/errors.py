@@ -67,7 +67,7 @@ class EmptyDataset(InputError):
 
 
 class FactoringLimit(InputError):
-    """A composite has no prime factor small enough for Pollard-Brent rho's step cap."""
+    """A composite has no prime factor small enough for the elliptic curve method's last level."""
 
 
 class RepeatedRoots(InputError):

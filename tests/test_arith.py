@@ -1,5 +1,6 @@
 import random
-from math import prod
+from collections import Counter
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
@@ -33,6 +34,7 @@ from abckit.arith import (
 )
 from abckit.errors import (
     BadParameter,
+    FactoringLimit,
     ParseError,
     UnsupportedField,
     ZeroInput,
@@ -438,6 +440,139 @@ class TestStripSmallPrimes:
         p, q = sympy.prevprime(2**30), sympy.nextprime(2**31)
         assert _factor_nat(big * p * q) == ((p, 1), (q, 1), (big, 1))
         assert _factor_nat(big * 997**3) == ((997, 3), (big, 1))
+
+
+def _affine_add(P, Q, A, B, p):
+    """P + Q on B y^2 = x^3 + A x^2 + x over F_p, in affine coordinates; None
+    is the point at infinity."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * A * x1 + 1) * pow(2 * B * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (B * lam * lam - A - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _affine_mul(k, P, A, B, p):
+    R = None
+    for bit in bin(k)[2:]:
+        R = _affine_add(R, R, A, B, p)
+        if bit == "1":
+            R = _affine_add(R, P, A, B, p)
+    return R
+
+
+def _suyama_point_order(p: int, sigma: int) -> int | None:
+    """The order mod the prime p of Suyama's start point for sigma, or None
+    when the curve or the point degenerates mod p.
+
+    The point (u^3/v^3, 1) lies on B y^2 = x^3 + A x^2 + x for one B.  Baby
+    steps and giant steps find a multiple M of its order in the Hasse
+    interval [p + 1 - 2 sqrt p, p + 1 + 2 sqrt p]; the order is the least
+    divisor of M that kills the point.
+    """
+    u, v = (sigma * sigma - 5) % p, 4 * sigma % p
+    if u * v % p == 0:
+        return None
+    A = ((v - u) ** 3 * (3 * u + v) * pow(4 * u**3 * v, -1, p) - 2) % p
+    x = u**3 * pow(v**3, -1, p) % p
+    B = (x**3 + A * x * x + x) % p
+    if B == 0 or (A * A - 4) % p == 0:
+        return None
+    P = (x, 1)
+    lo, s = p + 1 - 2 * isqrt(p) - 2, isqrt(4 * isqrt(p) + 4) + 1
+    baby, R = {}, None
+    for j in range(s + 1):
+        baby.setdefault(None if R is None else R[0], j)
+        R = _affine_add(R, P, A, B, p)
+    G, S = _affine_mul(lo, P, A, B, p), _affine_mul(s, P, A, B, p)
+    for i in range(s + 2):
+        j = baby.get(None if G is None else G[0])
+        if j is not None:
+            M = next(M for M in (lo + i * s - j, lo + i * s + j)
+                     if _affine_mul(M, P, A, B, p) is None)
+            for q in sympy.primefactors(M):
+                while M % q == 0 and _affine_mul(M // q, P, A, B, p) is None:
+                    M //= q
+            return M
+        G = _affine_add(G, S, A, B, p)
+    raise AssertionError("no multiple of the order in the Hasse interval")
+
+
+class TestEllipticCurveMethod:
+    """Rho hands a composite part to ECM after _RHO_HANDOVER squarings."""
+
+    def test_curves_find_p_exactly_when_the_point_order_allows(self):
+        # With e = ord(Q) / gcd(ord(Q), k) for the stage 1 scalar k, a curve
+        # finds p iff e = 1 (stage 1) or e is a prime in (B1, B2] (stage 2),
+        # on either side of its giant step, m*D + j or m*D - j.
+        p, r, D = 16_777_259, 2**61 - 1, arith._ECM_D
+        B1, B2, _ = arith._ECM_LEVELS[0]
+        k = prod(q ** sympy.integer_log(B1, q)[0] for q in sympy.primerange(B1 + 1))
+        seen = set()
+        for sigma in range(6, 60):
+            order = _suyama_point_order(p, sigma)
+            if order is None:
+                continue
+            e = order // gcd(order, k)
+            if e == 1 or sympy.isprime(e) and B1 < e <= B2:
+                case = "stage 1" if e == 1 else ("m*D + j" if e % D < D // 2 else "m*D - j")
+            elif e > B2 + D // 2:
+                case = "missed"
+            else:
+                continue
+            got = arith._ecm_curve(p * r, sigma, B1, B2)
+            assert got == (1 if case == "missed" else p), (sigma, order, e)
+            seen.add(case)
+        assert seen == {"stage 1", "m*D + j", "m*D - j", "missed"}
+
+    def test_planted_semiprimes(self):
+        rng = random.Random(24)
+        for _ in range(20):
+            p, q = (sympy.nextprime(rng.getrandbits(b) | 1 << (b - 1))
+                    for b in (rng.randint(24, 48), rng.randint(24, 48)))
+            got = _factor_nat(p * q)
+            assert got == tuple(sorted(Counter((p, q)).items()))
+            assert all(sympy.isprime(f) for f, _ in got)
+
+    def test_square_of_a_35_bit_prime(self):
+        p = sympy.prevprime(1 << 35)
+        assert _factor_nat(p * p) == ((p, 2),)
+
+    def test_prime_above_2_128_never_reaches_ecm(self, monkeypatch):
+        def spy(n):
+            raise AssertionError(f"{n} reached ECM")
+
+        monkeypatch.setattr(arith, "_ecm", spy)
+        p = sympy.nextprime((1 << 130) + 4321)
+        assert _factor_nat(p) == ((p, 1),)
+
+    def test_part_past_the_curve_cap_raises_factoring_limit(self, monkeypatch):
+        monkeypatch.setattr(arith, "_ECM_LEVELS", ((250, 15_000, 3),))
+        n = sympy.nextprime(1 << 70) * sympy.nextprime(1 << 75)
+        with pytest.raises(FactoringLimit, match="B1 = 250"):
+            _factor_nat(n)
+
+    def test_cli_factor_splits_what_rho_hands_over(self, monkeypatch, capsys):
+        from abckit.cli import dispatch
+
+        calls, ecm = [], arith._ecm
+
+        def spy(n):
+            calls.append(n)
+            return ecm(n)
+
+        monkeypatch.setattr(arith, "_RHO_HANDOVER", 1 << 4)
+        monkeypatch.setattr(arith, "_ecm", spy)
+        p, q = sympy.prevprime(1 << 32), sympy.nextprime(3 << 30)
+        assert dispatch(["factor", "--field", "Q", "--element", str(p * q)]) == 0
+        out = capsys.readouterr().out
+        assert str(p) in out and str(q) in out and calls == [p * q]
 
 
 def _factor_quad_by_divides(alpha: AlgebraicInt) -> tuple:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -947,6 +948,41 @@ class TestPastTheFloatRange:
             for a in (1 / 3, 0.55, 1.0):
                 assert type(bounds._power(G, a)) is float and bounds._power(G, a) == G**a
         want = outcomes()
-        monkeypatch.setattr(bounds, "_power", lambda G, a: G**a)
+        monkeypatch.setattr(bounds, "_compare_power",
+                            lambda N, G, a: (N > G**a) - (N < G**a))
         assert outcomes() == want
         assert sum(isinstance(o, tuple) for o in want) > 100  # both decisions occur
+
+
+class TestExactPowerComparison:
+    """Corollary hypotheses N < G^a are decided as N^q < G^p when a is p/q
+    with q <= 256, and on the float G**a otherwise."""
+
+    def test_cor5_fails_where_the_float_said_it_holds(self):
+        # a = 2q with q and a + 1 prime, so G = a(a + 1) < (a + 1)^2 = N_c^2;
+        # the float G**0.5 rounds to above a + 1
+        a = 765204344816141266
+        t = make_triple(1, a, -(a + 1))
+        assert t.G == a * (a + 1) and a + 1 < t.G**0.5
+        with pytest.raises(HypothesisFails):
+            corollary_bound(5, t, alpha=0.5)
+
+    def test_integer_roots_are_compared_exactly(self):
+        rng = random.Random(256)
+        for bits in (60, 200, 3000):
+            G = rng.getrandbits(bits) | 1 << (bits - 1)
+            for p, q in ((1, 2), (1, 3), (3, 8), (1, 256), (7, 20)):
+                root, exact = sympy.integer_nthroot(G**p, q)
+                assert bounds._compare_power(root, G, p / q) == (0 if exact else -1)
+                assert bounds._compare_power(root + 1, G, p / q) == 1
+            cube = sympy.integer_nthroot(G, 3)[0] ** 3
+            assert bounds._compare_power(sympy.integer_nthroot(cube, 3)[0], cube, 1 / 3) == 0
+
+    def test_other_exponents_keep_the_float_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bounds, "_power", lambda G, a: calls.append(a) or G**a)
+        # 1000 ** (1/3) is 9.999999999999998 in float
+        assert bounds._compare_power(10, 1000, 1 / 3) == 0
+        assert bounds._compare_power(10, 1000, 0.3333) == 1
+        assert bounds._compare_power(10, 1000, 1 / 257) == 1
+        assert calls == [0.3333, 1 / 257]

@@ -111,7 +111,7 @@ class TestCommands:
         assert code == 1
 
     def test_height_of_a_hard_semiprime(self, capsys):
-        # (2^61 - 1)(2^64 - 59) is past rho's cap; the height factors nothing
+        # (2^61 - 1)(2^64 - 59) takes ECM about a second; the height factors nothing
         code, out, _ = run(capsys, ["height", "--num",
                                     "42535295865117307778430344311653531707"])
         assert code == 0 and out == "h = 86.64339757\n"
@@ -376,10 +376,11 @@ class TestFormatting:
         assert fmt(Fraction(9, 2)) == "9/2"
 
 
-def test_factor_beyond_the_rho_cap_is_an_input_error(capsys, monkeypatch):
-    # (2^61 - 1)(2^64 - 59): both prime factors are far past rho's step cap
-    # of 2^23; a cap of 2^12 takes the same path in milliseconds
-    monkeypatch.setattr("abckit.arith._RHO_STEP_CAP", 1 << 12)
+def test_factor_beyond_the_ecm_curves_is_an_input_error(capsys, monkeypatch):
+    # (2^61 - 1)(2^64 - 59): rho hands it to ECM, whose full table finds
+    # 2^61 - 1 in about a second; a cap of 2 curves at B1 = 250 takes the
+    # FactoringLimit path in milliseconds
+    monkeypatch.setattr("abckit.arith._ECM_LEVELS", ((250, 15_000, 2),))
     code, out, err = run(capsys, ["factor", "--field", "Q", "--element",
                                   "42535295865117307778430344311653531707"])
     assert code == 1 and out == ""

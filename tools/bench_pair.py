@@ -59,6 +59,30 @@ for n in norms:
 seconds = time.perf_counter() - t0
 work = len(norms)
 """),
+    "arith.factor_nat.balanced_semiprimes_s": (
+        "factor 20 seeded products of two primes of 28 to 34 bits each, the "
+        "sizes where rho hands a part to ECM",
+        """
+import random
+from math import prod
+from abckit import arith
+rng = random.Random(2834)
+
+def prime(bits):
+    while True:
+        p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if arith.is_probable_prime(p):
+            return p
+
+semiprimes = [prime(rng.randint(28, 34)) * prime(rng.randint(28, 34)) for _ in range(20)]
+arith.factor_int(999983 * 1000003)
+t0 = time.perf_counter()
+for n in semiprimes:
+    factors = arith._factor_nat(n)
+    assert len(factors) == 2 and prod(p**e for p, e in factors) == n
+seconds = time.perf_counter() - t0
+work = len(semiprimes)
+"""),
     "arith.factor_element.quad_lift_seed1_s": (
         "factor_element over the a, b, c of quad_reports seed 1, after one "
         "untimed pass has warmed _factor_nat and primes_above, so only the "
