@@ -727,7 +727,12 @@ def _int_entries(n: int) -> tuple[FactorEntry, ...]:
 
 
 def factor_int(n: int) -> IdealFactorization:
-    """Factor a nonzero rational integer; the unit is its sign."""
+    """Factor a nonzero rational integer, or anything else `operator.index`
+    accepts (numpy integers too); the unit is its sign."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise BadParameter(f"cannot factor {n!r}: not an integer") from None
     if n == 0:
         raise ZeroInput("cannot factor 0")
     unit = AlgebraicInt(RATIONALS, 1 if n > 0 else -1, 0)

@@ -159,17 +159,6 @@ _ERR_UNIT = 2.0**-48  # 32 units of roundoff u = 2^-53
 _EXP_MAX = 700.0  # math.exp overflows past 709.78
 
 
-def _float_kappa(G: int, config: BoundConfig) -> tuple[float, float]:
-    """(log G, kappa) in float64, kappa = logloglog G / loglog G plus the
-    lower-order terms with ``full_exponent``; for G > e^e only."""
-    log_g = math.log(G)
-    llg = math.log(log_g)
-    kappa = math.log(llg) / llg
-    if config.full_exponent:
-        kappa += 1 / llg + llg / log_g
-    return log_g, kappa
-
-
 def _theorem_report(theorem: int, triple: AbcTriple, config: BoundConfig) -> BoundReport:
     """Theorem 1, 2 or 3's report, from float64 when the error bound certifies
     ``holds``, else from `_theorem_report_mp`.
@@ -202,7 +191,11 @@ def _theorem_report(theorem: int, triple: AbcTriple, config: BoundConfig) -> Bou
         return _theorem_report_mp(theorem, triple, config)
     log_base = _log_base(triple.height_selectors, theorem)
     lhs = math.log(triple_height(triple))
-    log_g, kappa = _float_kappa(G, config)
+    log_g = math.log(G)
+    llg = math.log(log_g)
+    kappa = math.log(llg) / llg
+    if config.full_exponent:
+        kappa += 1 / llg + llg / log_g
     term = C * kappa
     x = log_base + term * log_g
     x_weak = (1 / 3 + term) * log_g if theorem == 3 else 0.0
@@ -362,7 +355,10 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
         return power_of_G(1 / (2 - a), term, f"theta=1/(2-a), a={a}")
 
     if cid == 11:
-        if form != 1 and _compare_power(n_max, G, 1 / 3) <= 0:
+        small = _compare_power(n_max, G, 1 / 3) <= 0
+        if form == 2 or (form is None and small):
+            if not small:
+                raise HypothesisFails(11, "needs N_max <= G^(1/3)")
             return power_of_G(1 / 2, term, "theta=1/2 (N_max <= G^(1/3))")
         a = _require_alpha(alpha, 1 / 3, 1, hi_open=False)
         if not (_compare_power(n_max, G, a) > 0 and sel.n_a == n_max):
@@ -526,8 +522,8 @@ def lefourn_sunit_bound(h_alpha: float, h_beta: float, degree: int, t: int,
 
 
 def _needed_C_mp(triple: AbcTriple, theorem: int, config: BoundConfig) -> float | None:
-    """C_row of one triple in mpmath: None when log H <= base.  This is the
-    mpmath fallback of `empirical_min_C`."""
+    """C_row of one triple, from the mpmath log H: None when log H <= base.
+    `empirical_min_C` takes every row it does not skip from here."""
     log_base = _log_base(triple.height_selectors, theorem)
     _check_radical(triple.G)
     lhs = _log_height(triple)
@@ -552,56 +548,27 @@ def empirical_min_C(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
     result is max C_row + tol/2, or 0.0 when no triple needs C; the tol/2
     outward rounding keeps the theorem's report holding at the returned C.
     Being a max plus a constant, it does not depend on how the dataset is
-    partitioned.
+    partitioned.  ``triples`` may be any iterable; it is read once.
 
-    The rows are filtered in float64, and the result is bit-identical to
-    taking every row in mpmath by `_needed_C_mp`, errors included.  With
-    u = 2^-53 and the assumptions of `_theorem_report`, the float log H is
-    within E_l = 2^-48 (log H + 1) of the mpmath one, so a row is sent to the
-    mpmath code when |log H - base| <= E_l.  For a row that needs C, with
-    n = log log H - log base and d = kappa log G, the float n is within
-    4u log log H + 4.02u + 2u n of the mpmath one and d within 27.2u log G
-    (kappa >= 0.019 for G >= 16, so d is never near 0), hence
-
-        |C_row - C_row_mp| <= E_C = 2^-48 ((5 + 4 log log H + 2n
-                                             + 32 C_row log G) / d + 2 C_row).
-
-    Only rows with C_row + E_C >= max(C_row - E_C) can hold the mpmath
-    maximum; those are recomputed in mpmath and their maximum is the
-    all-mpmath one.  Rows with G <= max(G_min, e^e) always take the mpmath row.
+    One float64 test skips the rows that hold at C = 0: the float log H is
+    within E_l = 2^-48 (log H + 1) of the mpmath one (see `_theorem_report`),
+    so a row whose float log H is below base - E_l has the mpmath log H below
+    the same float base.  Every other row takes its C_row from `_needed_C_mp`,
+    so the result, errors included, is that of taking every row in mpmath.
     """
     if not 0 < tol < math.inf:
         raise BadParameter(f"tol must be positive and finite, got {tol}")
-    triples = list(triples)
-    if not triples:
-        raise EmptyDataset("calibration needs at least one triple")
-    floor = -math.inf  # the largest certain lower bound on any C_row
-    exact: list[float] = []  # C_row of rows computed in mpmath
-    approx: list[tuple[float, float, AbcTriple]] = []  # float (C_row, E_C, triple)
-    for triple in triples:
+    rows, needed = 0, []  # C_row of each row that needs C
+    for rows, triple in enumerate(triples, 1):
         log_base = _log_base(triple.height_selectors, theorem)
         _check_radical(triple.G)
-        if log_base > _EXP_MAX:  # base > e^700, above log H of any H in memory
-            continue
         lhs = math.log(triple_height(triple))
-        base = math.exp(log_base)
-        err_l = _ERR_UNIT * (lhs + 1)
-        if lhs < base - err_l:
+        # a base past e^700 is above log H of any H in memory
+        if log_base > _EXP_MAX or lhs < math.exp(log_base) - _ERR_UNIT * (lhs + 1):
             continue
-        if lhs <= base + err_l or triple.G <= max(config.G_min, E_SQUARED_GUARD):
-            c_row = _needed_C_mp(triple, theorem, config)
-            if c_row is not None:
-                exact.append(c_row)
-                floor = max(floor, c_row)
-            continue
-        log_g, kappa = _float_kappa(triple.G, config)
-        d = kappa * log_g
-        log_lhs = math.log(lhs)
-        n = log_lhs - log_base
-        c_row = n / d
-        err_c = _ERR_UNIT * ((5 + 4 * log_lhs + 2 * n + 32 * c_row * log_g) / d + 2 * c_row)
-        approx.append((c_row, err_c, triple))
-        floor = max(floor, c_row - err_c)
-    exact.extend(_needed_C_mp(triple, theorem, config)
-                 for c_row, err_c, triple in approx if c_row + err_c >= floor)
-    return max(exact) + tol / 2 if exact else 0.0
+        c_row = _needed_C_mp(triple, theorem, config)
+        if c_row is not None:
+            needed.append(c_row)
+    if not rows:
+        raise EmptyDataset("calibration needs at least one triple")
+    return max(needed) + tol / 2 if needed else 0.0

@@ -16,7 +16,8 @@ The scan runs in one process.  Past a thousand or so terms it advances up to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from math import ceil, floor, gcd, isinf, isqrt, lcm, prod
 
 from .arith import (
@@ -62,6 +63,13 @@ class RecurrenceSpec:
     a2: int
 
     def __post_init__(self):
+        # numpy integers become ints; a float or string is refused, not truncated
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, operator.index(value))
+            except TypeError:
+                raise BadParameter(f"{f.name} must be an integer, got {value!r}") from None
         if self.c3 == 0:
             raise BadParameter("c3 = 0: the recurrence does not have order 3")
 

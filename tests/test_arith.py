@@ -211,6 +211,15 @@ class TestFactorInt:
         with pytest.raises(ZeroInput):
             factor_int(0)
 
+    def test_numpy_integers_are_factored_as_ints(self):
+        numpy = pytest.importorskip("numpy")
+        # past trial division, where the int's bit_length is needed
+        assert factor_int(numpy.int64(10**18 + 9)) == factor_int(10**18 + 9)
+        assert factor_int(numpy.int64(-360)) == factor_int(-360)
+        for bad in (360.0, "360"):
+            with pytest.raises(BadParameter):
+                factor_int(bad)
+
     def test_against_sympy_oracle(self, rng):
         for _ in range(120):
             n = rng.randint(2, 10**12)

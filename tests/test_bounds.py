@@ -359,6 +359,11 @@ class TestCorollaries:
         assert report.exponent_used == pytest.approx((3 - 1.2) / 2 + exponent_term(t.G, 1.0))
         with pytest.raises(HypothesisFails):
             corollary_bound(11, T189, alpha=0.4)
+        t = make_triple(5, 27, -32)  # 5 > 30^(1/3): only the form-1 branch applies
+        report = corollary_bound(11, t, alpha=0.4)
+        assert report.exponent_used == pytest.approx((3 - 1.2) / 2 + exponent_term(t.G, 1.0))
+        with pytest.raises(HypothesisFails, match=r"N_max <= G\^\(1/3\)"):
+            corollary_bound(11, t, alpha=0.4, form=2)
 
     def test_cor12(self):
         t = make_triple(3, 125, -128)  # ord at top prime of c: 2^7
@@ -549,6 +554,18 @@ class TestCalibration:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             empirical_min_C([], 2)
+        with pytest.raises(EmptyDataset):
+            empirical_min_C((t for t in ()), 2)
+
+    @pytest.mark.parametrize("theorem", [1, 2, 3])
+    def test_reads_a_one_shot_generator(self, primitive_300, theorem):
+        dataset = primitive_300
+        if theorem == 3:
+            dataset = [t for t in dataset if t.G > DEFAULT_CONFIG.G_min]
+        rows = (t for t in dataset)
+        assert empirical_min_C(rows, theorem) == empirical_min_C(dataset, theorem)
+        with pytest.raises(EmptyDataset):  # read once, so nothing is left
+            empirical_min_C(rows, theorem)
 
     def test_all_unit_triple_has_no_radical(self):
         field = QuadraticField(-3)  # 1 + (w - 1) + (-w) = 0, all units
@@ -766,19 +783,27 @@ def primitive_300():
 
 
 class TestCalibrationFloatFilter:
+    # below e^e, a G_min of 3 lets theorem 3 meet a G with a negative kappa
+    @pytest.mark.parametrize("g_min", [DEFAULT_CONFIG.G_min, 6.0, 3.0])
     @pytest.mark.parametrize("full", [False, True])
     @pytest.mark.parametrize("theorem", [1, 2, 3])
-    def test_bit_identical_at_height_300(self, primitive_300, theorem, full):
+    def test_bit_identical_at_height_300(self, primitive_300, theorem, full, g_min):
+        config = replace(DEFAULT_CONFIG, full_exponent=full, G_min=g_min)
         dataset = primitive_300
         if theorem == 3:
-            dataset = [t for t in dataset if t.G > DEFAULT_CONFIG.G_min]
-        config = replace(DEFAULT_CONFIG, full_exponent=full)
-        assert (empirical_min_C(dataset, theorem, config)
-                == empirical_min_c_mp(dataset, theorem, config))
+            dataset = [t for t in dataset if t.G > config.G_min]
+        assert (_outcome(empirical_min_C, dataset, theorem, config)
+                == _outcome(empirical_min_c_mp, dataset, theorem, config))
+
+    def test_theorem_2_at_height_1000(self):
+        dataset = enumerate_primitive_triples(1000)
+        full = replace(DEFAULT_CONFIG, full_exponent=True)
+        assert empirical_min_C(dataset, 2) == 0.41127528566033666
+        assert empirical_min_C(iter(dataset), 2, full) == 0.08437629729769093
 
     def test_rows_near_the_base_take_the_mpmath_row(self, primitive_300, monkeypatch):
-        """A wider filter sends rows with log H near the base to `_needed_C_mp`
-        inside the loop; the result is still the all-mpmath one."""
+        """A wider filter sends rows with log H near the base to `_needed_C_mp`;
+        the result is still the all-mpmath one."""
         err_unit = 2.0**-10
         calls = []
 

@@ -78,6 +78,22 @@ class TestCharPoly:
         with pytest.raises(BadParameter):
             RecurrenceSpec(1, 1, 0, 1, 1, 1)
 
+    def test_numpy_fields_become_ints(self):
+        numpy = pytest.importorskip("numpy")
+        spec = RecurrenceSpec(10, -31, numpy.int64(30), numpy.int32(31), 112, numpy.int64(452))
+        assert spec == RecurrenceSpec(10, -31, 30, 31, 112, 452)
+        assert all(type(v) is int for v in (spec.c3, spec.a0, spec.a2))
+        verdict = decide_zeros(spec)
+        assert verdict == decide_zeros(RecurrenceSpec(10, -31, 30, 31, 112, 452))
+        assert (verdict.status, verdict.N, verdict.G) == ("NoZerosUpToBound", 816, 30030)
+
+    @pytest.mark.parametrize("bad", [30.0, "30", 30.5])
+    def test_fields_must_be_integers(self, bad):
+        with pytest.raises(BadParameter, match="c3 must be an integer"):
+            RecurrenceSpec(10, -31, bad, 31, 112, 452)
+        with pytest.raises(BadParameter, match="a0 must be an integer"):
+            RecurrenceSpec(10, -31, 30, bad, 112, 452)
+
 
 class TestFindRoots:
     def test_three_rational_roots(self):

@@ -38,8 +38,9 @@ FIRST_SEED = 101
 
 # Per-layer probes: code run in a fresh process inside a checkout, with its
 # src/ and bench/ importable and `time` imported; it sets `seconds` and may
-# set `work`.  Like a bench job, each probe first factors a semiprime no
-# input contains, so set-up (the lazy prime sieve) stays outside the timing.
+# set `work`.  Like a bench job, the two arith.factor_nat.* probes first
+# factor a semiprime no input contains, so set-up (the lazy prime sieve)
+# stays outside their timing.
 PROBES = {
     "arith.factor_nat.quad_norms_seed1_s": (
         "factor the distinct |N(a)|, |N(b)|, |N(c)| of quad_reports seed 1 "
