@@ -29,6 +29,22 @@ class AbckitInternal(AssertionError):
     """Broken internal invariant; indicates a bug, not bad input."""
 
 
+def as_int(value, name: str, minimum: int | None = None) -> int:
+    """The one gate for integer arguments: `operator.index(value)`, so a numpy
+    integer becomes an int and a float or string is refused, not truncated.
+
+    Raises BadParameter naming `name` for a non-integer, or for an integer
+    below `minimum`.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise BadParameter(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and n < minimum:
+        raise BadParameter(f"{name} must be at least {minimum}, got {n}")
+    return n
+
+
 CLASS_NUMBER_ONE_D = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -52,12 +68,8 @@ class QuadraticField:
 
     def __post_init__(self):
         if self.d is not None:
-            # a numpy integer d becomes an int, so the field hashes as one; a
-            # float or string equal to an allowed d is refused
-            try:
-                object.__setattr__(self, "d", operator.index(self.d))
-            except TypeError:
-                raise BadParameter(f"d must be an integer or None, got {self.d!r}") from None
+            # a numpy integer d becomes an int, so the field hashes as one
+            object.__setattr__(self, "d", as_int(self.d, "d"))
         if self.d is not None and self.d not in CLASS_NUMBER_ONE_D:
             raise UnsupportedField(
                 f"d={self.d}: only Q and the class-number-one imaginary "
@@ -225,19 +237,11 @@ class AlgebraicInt:
 
 
 def as_element(value, field: QuadraticField | None = None) -> AlgebraicInt:
-    """An AlgebraicInt as it is; an integer, or anything else `operator.index`
-    accepts (numpy integers too), as that integer in `field` (Q when None).
-
-    Raises BadParameter for anything else: floats, Fractions and strings are
-    refused, not truncated.
-    """
+    """An AlgebraicInt as it is; anything else through `as_int`, as that
+    integer in `field` (Q when None)."""
     if isinstance(value, AlgebraicInt):
         return value
-    try:
-        x = operator.index(value)
-    except TypeError:
-        raise BadParameter(f"cannot interpret {value!r} as a field element") from None
-    return AlgebraicInt(field or RATIONALS, x, 0)
+    return AlgebraicInt(field or RATIONALS, as_int(value, "a field element"), 0)
 
 
 def field_of(values) -> QuadraticField:
@@ -365,8 +369,7 @@ def primes_upto(n: int) -> list[int]:
 def first_primes(k: int) -> list[int]:
     """The first k rational primes; the sieve bound covers p_k, since
     p_k < k (log k + log log k) <= 2k log k for k >= 6 (Rosser-Schoenfeld)."""
-    if k < 1:
-        raise BadParameter("k must be positive")
+    k = as_int(k, "k", 1)
     return primes_upto(13 if k <= 6 else int(2 * k * log(k)) + 10)[:k]
 
 
@@ -727,12 +730,9 @@ def _int_entries(n: int) -> tuple[FactorEntry, ...]:
 
 
 def factor_int(n: int) -> IdealFactorization:
-    """Factor a nonzero rational integer, or anything else `operator.index`
-    accepts (numpy integers too); the unit is its sign."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise BadParameter(f"cannot factor {n!r}: not an integer") from None
+    """Factor a nonzero rational integer (numpy integers too, through
+    `as_int`); the unit is its sign."""
+    n = as_int(n, "n")
     if n == 0:
         raise ZeroInput("cannot factor 0")
     unit = AlgebraicInt(RATIONALS, 1 if n > 0 else -1, 0)
@@ -947,8 +947,7 @@ def ideal_coprime(a: AlgebraicInt, b: AlgebraicInt) -> bool:
 
 def prime_ideals_in_norm_order(field: QuadraticField, count: int) -> list[FactorEntry]:
     """The first `count` prime ideals sorted by (norm, canonical coordinates)."""
-    if count < 1:
-        raise BadParameter("count must be positive")
+    count = as_int(count, "count", 1)
     if field.degree == 1:
         return [
             FactorEntry(AlgebraicInt(field, p, 0), 1, p) for p in first_primes(count)

@@ -10,10 +10,11 @@ lower-order terms are available via ``full_exponent``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arith import QuadraticField, prime_ideals_in_norm_order
+from .arith import QuadraticField, as_int, prime_ideals_in_norm_order
 from .errors import (
     BadAlpha,
     BadParameter,
@@ -249,6 +250,8 @@ _VALID_IDS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)
 def _require_alpha(alpha, lo: float, hi: float, *, lo_open=True, hi_open=True) -> float:
     if alpha is None:
         raise BadAlpha("this corollary needs an alpha parameter")
+    if not isinstance(alpha, numbers.Real):
+        raise BadAlpha(f"alpha must be a real number, got {alpha!r}")
     a = float(alpha)
     ok_lo = a > lo if lo_open else a >= lo
     ok_hi = a < hi if hi_open else a <= hi
@@ -275,8 +278,11 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
     violated.  ``form`` picks a branch where a corollary states two bounds
     (default: the stronger branch whose hypothesis holds).
     """
+    cid = as_int(cid, "corollary id")
     if cid not in _VALID_IDS:
         raise BadParameter(f"corollary id must be one of {_VALID_IDS}")
+    if form is not None and as_int(form, "form") not in (1, 2):
+        raise BadParameter(f"form must be None, 1 or 2, got {form}")
     if cid in _CLASS_GROUP_IDS:
         raise NotApplicable(
             f"corollary {cid} conditions on nontrivial class-group structure; "
@@ -398,10 +404,10 @@ def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
 
     with h'_i = max(h_i, 1/(16 e^2 d^2)) and B >= 3.
     """
-    if n_terms < 1 or degree < 1 or e_p < 1:
-        raise BadParameter("n_terms, degree and e_p must be positive")
-    if norm_p < 2:
-        raise BadParameter("norm_p must be at least 2")
+    n_terms = as_int(n_terms, "n_terms", 1)
+    degree = as_int(degree, "degree", 1)
+    e_p = as_int(e_p, "e_p", 1)
+    norm_p = as_int(norm_p, "norm_p", 2)
     if B < 3:
         raise BadParameter("B must be at least 3 (it is a max with 3)")
     if len(heights) != n_terms:
@@ -437,9 +443,7 @@ def landau_min_constant(field: QuadraticField, R: int) -> float:
     Returns max_r r / (prod_r)^(1/r); the defining inequality is strict for
     every r except the maximizer, where it holds with equality.
     """
-    if R < 1:
-        raise BadParameter("R must be at least 1")
-    ideals = prime_ideals_in_norm_order(field, R)
+    ideals = prime_ideals_in_norm_order(field, as_int(R, "R", 1))
     log_prod = MP.mpf(0)
     best = MP.mpf(0)
     for r, entry in enumerate(ideals, start=1):
@@ -465,13 +469,13 @@ def gyory_sunit_bound(h_alpha: float, h_beta: float, t: int = 0, P: float = 1.0,
     log* means max(log x, 1).
     """
     _check_constants(C13=C13, C14=C14)
-    if t < 0:
-        raise BadParameter("t must be nonnegative")
+    t = as_int(t, "t", 0)
+    class_number = as_int(class_number, "class_number", 1)
     height_factor = max(h_alpha, h_beta, 1.0)
     if t == 0:
         return C13 * height_factor
-    if P < 1 or R <= 0 or R_S <= 0 or class_number < 1:
-        raise BadParameter("P >= 1, R > 0, R_S > 0 and class_number >= 1 required")
+    if P < 1 or R <= 0 or R_S <= 0:
+        raise BadParameter("P >= 1, R > 0 and R_S > 0 required")
 
     def logstar(x: float) -> float:
         return max(math.log(x), 1.0)
@@ -505,8 +509,10 @@ def lefourn_sunit_bound(h_alpha: float, h_beta: float, degree: int, t: int,
     are the reference constants, supplied by the caller.
     """
     _check_constants(C118=C118, C119=C119)
-    if degree < 1 or t < 0 or R_S <= 0:
-        raise BadParameter("degree >= 1, t >= 0 and R_S > 0 required")
+    degree = as_int(degree, "degree", 1)
+    t = as_int(t, "t", 0)
+    if R_S <= 0:
+        raise BadParameter("R_S must be positive")
     height_factor = max(h_alpha, h_beta, 1.0, math.pi / degree)
     log_plus = lambda x: max(math.log(x), 0.0)  # noqa: E731
     if t <= 2:

@@ -17,7 +17,6 @@ from . import bounds, radical, sml, xyz
 from .arith import factor_element, parse_element, parse_field
 from .bounds import BoundConfig
 from .errors import (
-    AbckitError,
     BadParameter,
     BadValue,
     InputError,
@@ -162,12 +161,7 @@ def _triple_from_args(args) -> radical.AbcTriple:
 
 def _triple_row(t: radical.AbcTriple) -> list:
     sel = t.selectors
-    smooth: object = ""
-    if t.field.degree == 1:
-        try:
-            smooth = radical.smoothness_S(t)
-        except AbckitError:
-            smooth = ""
+    smooth = radical.smoothness_S(t) if t.field.degree == 1 else ""
     return [
         str(t.a), str(t.b), str(t.c), t.field.label(), t.G, smooth,
         sel.n_a, sel.n_b, sel.n_c, sel.n_c_third, sel.n_q,
@@ -214,7 +208,7 @@ def _cmd_radical(args) -> int:
     row = _triple_row(triple)
     sel = triple.selectors
     print(f"G={triple.G}")
-    if triple.field.degree == 1 and row[5] != "":
+    if triple.field.degree == 1:
         print(f"S={row[5]}")
     print(f"N_a={sel.n_a} N_b={sel.n_b} N_c={sel.n_c} "
           f"N_c_third={sel.n_c_third} N_q={sel.n_q}")

@@ -42,10 +42,6 @@ class NotCoprime(InputError):
     pass
 
 
-class AllUnits(InputError):
-    pass
-
-
 class BadRadical(InputError):
     pass
 

@@ -11,14 +11,13 @@ from .arith import (
     QuadraticField,
     RATIONALS,
     as_element,
+    as_int,
     factor_element,
     factor_int,
     field_of,
     ideal_coprime,
 )
 from .errors import (
-    AllUnits,
-    BadParameter,
     NotCoprime,
     SumNotZero,
     UnsupportedField,
@@ -125,10 +124,8 @@ def smoothness_S(triple: AbcTriple) -> int:
     """Largest rational prime dividing a*b*c; defined over Q only."""
     if triple.field.degree != 1:
         raise UnsupportedField("smoothness is defined over Q")
-    top = max(fac.max_norm(default=0) for fac in triple.factorizations())
-    if top == 0:
-        raise AllUnits("smoothness is undefined when a, b, c are all units")
-    return top
+    # a coprime a + b + c = 0 over Q has a non-unit: +-1 +-1 +-1 is odd
+    return max(fac.max_norm(default=0) for fac in triple.factorizations())
 
 
 def enumerate_primitive_triples(H_limit: int) -> list[AbcTriple]:
@@ -143,8 +140,7 @@ def enumerate_primitive_triples(H_limit: int) -> list[AbcTriple]:
     order, and over Q the norm ordering of primes is the ordering of the
     primes themselves.
     """
-    if H_limit < 2:
-        raise BadParameter("H_limit must be at least 2")
+    H_limit = as_int(H_limit, "H_limit", 2)
     # index 0 is a placeholder, never used
     fac = [factor_int(1)] + [factor_int(n) for n in range(1, H_limit + 1)]
     element = [AlgebraicInt(RATIONALS, n) for n in range(H_limit + 1)]

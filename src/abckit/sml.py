@@ -16,7 +16,6 @@ The scan runs in one process.  Past a thousand or so terms it advances up to
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields
 from math import ceil, floor, gcd, isinf, isqrt, lcm, prod
 
@@ -26,6 +25,7 @@ from .arith import (
     RATIONALS,
     _entry_key,
     _factor_nat,
+    as_int,
     canonical_associate,
     factor_element,
 )
@@ -63,13 +63,8 @@ class RecurrenceSpec:
     a2: int
 
     def __post_init__(self):
-        # numpy integers become ints; a float or string is refused, not truncated
         for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                object.__setattr__(self, f.name, operator.index(value))
-            except TypeError:
-                raise BadParameter(f"{f.name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, f.name, as_int(getattr(self, f.name), f.name))
         if self.c3 == 0:
             raise BadParameter("c3 = 0: the recurrence does not have order 3")
 
@@ -474,20 +469,21 @@ def _enumerate_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
     costs a modular jump, and no sequence costs more than an exact scan.
 
     Both choices depend on limit alone.  Best-of-n times of the two scans
-    for RecurrenceSpec(10, -31, 30, 10^6 + 3, 112, 452) on a 2-vCPU Xeon,
-    Python 3.11.7:
+    for RecurrenceSpec(10, -31, 30, 10^6 + 3, 112, 452) on a 2-vCPU AMD
+    EPYC, Python 3.11.7 (best of 200 up to 2,048 terms):
 
         terms       lanes   one at a time   in lanes
-          512          11         0.35 ms    0.54 ms
-          768          13         0.54 ms    0.61 ms
-        1,024          16         0.71 ms    0.64 ms
-        2,048          22         1.19 ms    1.00 ms
-       10,000          50         5.3 ms     1.5 ms
-      100,000         158          48 ms      17 ms
-    1,000,000         500         515 ms     153 ms
+          100           5        0.016 ms   0.062 ms
+          400          10        0.063 ms   0.098 ms
+        1,000          15        0.155 ms   0.155 ms
+        1,024          16        0.154 ms   0.148 ms
+        2,048          22        0.310 ms   0.237 ms
+       10,000          50        1.5 ms     0.75 ms
+      100,000         158         16 ms      5.6 ms
+    1,000,000         500        156 ms       48 ms
 
     From 10^4 terms on, a quarter to four times that many lanes stayed
-    within 30% of it; the cost per term flattens out at about 0.15 us.
+    within 40% of it; the cost per term flattens out at about 0.05 us.
     """
     total = limit + 1
     if total < LANE_CROSSOVER:
@@ -517,8 +513,8 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
     raised; root triples that are not pairwise coprime as ideals are rejected
     with RootsNotCoprime.
     """
-    if cap is not None and cap < 0:
-        raise BadParameter(f"cap must be nonnegative, got {cap}")
+    if cap is not None:
+        cap = as_int(cap, "cap", 0)
     try:
         roots, field = find_roots(char_poly(spec))
     except (RepeatedRoots, UnsupportedField) as exc:

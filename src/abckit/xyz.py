@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
-from .arith import first_primes, is_probable_prime, primes_upto
+from .arith import as_int, first_primes, is_probable_prime, primes_upto
 from .errors import BadParameter, BadPhi
 
 NESTING_THRESHOLD = math.exp(math.e**math.e)  # four nested logs need H above this
@@ -42,8 +42,8 @@ class SmoothTriple:
 
 def smooth_numbers(P: int, limit: int) -> list[int]:
     """Ascending, duplicate-free list of n <= limit with all prime factors <= P."""
-    if limit < 1:
-        raise BadParameter("limit must be at least 1")
+    limit = as_int(limit, "limit", 1)
+    P = as_int(P, "P")
     if not is_probable_prime(P):
         raise BadParameter(f"P must be prime, got {P}")
     values = [1]
@@ -126,10 +126,9 @@ def enumerate_triples(P: int, H_limit: int, workers: int = 1) -> list[SmoothTrip
     equal share of the probes.  One task, or under 64 smooth numbers, runs in
     this process.  The result does not depend on workers.
     """
-    if H_limit < 2:
-        raise BadParameter("H_limit must be at least 2")
-    if workers < 1:
-        raise BadParameter(f"workers must be at least 1, got {workers}")
+    H_limit = as_int(H_limit, "H_limit", 2)
+    workers = as_int(workers, "workers", 1)
+    P = as_int(P, "P")
     smooth = smooth_numbers(P, H_limit)
     primes = primes_upto(min(P, H_limit))
     masks = [_support_mask(n, primes) for n in smooth]
@@ -231,9 +230,7 @@ def rosser_violations(n_max: int) -> tuple[list[int], list[int]]:
     Float comparisons get a 1e-9 relative slack on the float side only; the
     prime side is exact.
     """
-    if n_max < 1:
-        raise BadParameter("n_max must be at least 1")
-    ps = first_primes(n_max)
+    ps = first_primes(as_int(n_max, "n_max", 1))
     lower_bad, upper_bad = [], []
     for n, p in enumerate(ps, start=1):
         nlogn = n * math.log(n)
@@ -248,9 +245,7 @@ def primorial_chain_violations(k_max: int) -> list[int]:
     """k where prod_{i<=k} p_i > 2^k k^k prod_{i=3..k} log i, compared in log
     space: log of the exact integer primorial against
     k log 2 + k log k + sum_{i=3..k} log log i."""
-    if k_max < 1:
-        raise BadParameter("k_max must be at least 1")
-    ps = first_primes(k_max)
+    ps = first_primes(as_int(k_max, "k_max", 1))
     bad = []
     primorial = 1
     log_log_sum = 0.0

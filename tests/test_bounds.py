@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -364,6 +365,27 @@ class TestCorollaries:
         assert report.exponent_used == pytest.approx((3 - 1.2) / 2 + exponent_term(t.G, 1.0))
         with pytest.raises(HypothesisFails, match=r"N_max <= G\^\(1/3\)"):
             corollary_bound(11, t, alpha=0.4, form=2)
+
+    def test_form_outside_1_and_2_is_refused(self):
+        t = make_triple(5, 27, -32)
+        for form in (7, 0, -1):
+            with pytest.raises(BadParameter, match=f"form must be None, 1 or 2, got {form}"):
+                corollary_bound(9, t, alpha=0.5, form=form)
+        with pytest.raises(BadParameter, match="form must be an integer, got 2.0"):
+            corollary_bound(9, t, alpha=0.5, form=2.0)
+        assert corollary_bound(9, t, alpha=0.5, form=np.int64(1)) == \
+            corollary_bound(9, t, alpha=0.5, form=1)
+
+    def test_alpha_must_be_a_real_number(self):
+        t = make_triple(5, 27, -32)
+        for alpha in ("0.4", b"0.4", 0.4j, [0.4]):
+            with pytest.raises(BadAlpha, match="alpha must be a real number"):
+                corollary_bound(5, t, alpha=alpha)
+        report = corollary_bound(5, t, alpha=0.4)
+        for alpha in (np.float64(0.4), np.float32(0.4), Fraction(2, 5)):
+            assert corollary_bound(5, t, alpha=alpha).exponent_used == \
+                pytest.approx(report.exponent_used)
+        assert corollary_bound(12, t, alpha=np.int64(1)) == corollary_bound(12, t, alpha=1)
 
     def test_cor12(self):
         t = make_triple(3, 125, -128)  # ord at top prime of c: 2^7

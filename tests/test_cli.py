@@ -175,7 +175,7 @@ class TestCommands:
 
     def test_sml_decide_negative_cap(self, capsys):
         code, out, err = run(capsys, SML_FLAGSHIP + ["--cap", "-5"])
-        assert code == 1 and "cap must be nonnegative" in err and out == ""
+        assert code == 1 and "cap must be at least 0" in err and out == ""
 
     def test_sml_decide_past_the_lane_crossover(self, capsys):
         # the bound passes the hard limit, so the cap decides: 5001 terms,

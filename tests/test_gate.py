@@ -1,0 +1,95 @@
+"""Every public integer argument goes through `arith.as_int`: a numpy integer
+acts as the int, a float or numeric string raises BadParameter naming the
+argument, and a value below the argument's minimum names that minimum."""
+
+import numpy as np
+import pytest
+
+from abckit import (
+    RATIONALS,
+    QuadraticField,
+    RecurrenceSpec,
+    corollary_bound,
+    decide_zeros,
+    enumerate_primitive_triples,
+    enumerate_triples,
+    factor_int,
+    gyory_sunit_bound,
+    landau_min_constant,
+    lefourn_sunit_bound,
+    make_triple,
+    primorial_chain_violations,
+    rosser_violations,
+    smooth_numbers,
+    yu_ord_bound,
+)
+from abckit.arith import as_element, as_int, first_primes, prime_ideals_in_norm_order
+from abckit.errors import BadParameter
+
+from conftest import GAUSSIAN
+
+SPEC = (10, -31, 30, 31, 112, 452)
+T = make_triple(5, 27, -32)
+
+
+def _spec_with(i):
+    return lambda v: decide_zeros(RecurrenceSpec(*SPEC[:i], v, *SPEC[i + 1:]), cap=40)
+
+
+# (id, call taking the value, argument name, a valid value, minimum or None)
+GATED = [
+    ("QuadraticField.d", QuadraticField, "d", -7, None),
+    ("as_element", as_element, "a field element", 12, None),
+    ("factor_int", factor_int, "n", 360, None),
+    *[(f"RecurrenceSpec.{name}", _spec_with(i), name, SPEC[i], None)
+      for i, name in enumerate(("c1", "c2", "c3", "a0", "a1", "a2"))],
+    ("first_primes", first_primes, "k", 12, 1),
+    ("prime_ideals_in_norm_order", lambda v: prime_ideals_in_norm_order(GAUSSIAN, v),
+     "count", 6, 1),
+    ("landau_min_constant", lambda v: landau_min_constant(RATIONALS, v), "R", 4, 1),
+    ("yu_ord_bound.n_terms", lambda v: yu_ord_bound(v, 1, 1, 2, [1.0], 3), "n_terms", 1, 1),
+    ("yu_ord_bound.degree", lambda v: yu_ord_bound(1, v, 1, 2, [1.0], 3), "degree", 2, 1),
+    ("yu_ord_bound.e_p", lambda v: yu_ord_bound(1, 1, v, 2, [1.0], 3), "e_p", 2, 1),
+    ("yu_ord_bound.norm_p", lambda v: yu_ord_bound(1, 1, 1, v, [1.0], 3), "norm_p", 5, 2),
+    ("decide_zeros.cap", lambda v: decide_zeros(RecurrenceSpec(*SPEC), cap=v), "cap", 40, 0),
+    ("enumerate_primitive_triples", enumerate_primitive_triples, "H_limit", 20, 2),
+    ("smooth_numbers.P", lambda v: smooth_numbers(v, 100), "P", 7, None),
+    ("smooth_numbers.limit", lambda v: smooth_numbers(7, v), "limit", 100, 1),
+    ("enumerate_triples.P", lambda v: enumerate_triples(v, 200), "P", 7, None),
+    ("enumerate_triples.H_limit", lambda v: enumerate_triples(7, v), "H_limit", 200, 2),
+    ("enumerate_triples.workers", lambda v: enumerate_triples(7, 200, v), "workers", 1, 1),
+    ("rosser_violations", rosser_violations, "n_max", 30, 1),
+    ("primorial_chain_violations", primorial_chain_violations, "k_max", 30, 1),
+    ("corollary_bound.cid", lambda v: corollary_bound(v, T, alpha=0.5), "corollary id", 5, None),
+    ("corollary_bound.form", lambda v: corollary_bound(9, T, alpha=0.5, form=v), "form", 1, None),
+    ("gyory_sunit_bound.t", lambda v: gyory_sunit_bound(2.0, 3.0, t=v, P=7.0), "t", 1, 0),
+    ("gyory_sunit_bound.class_number",
+     lambda v: gyory_sunit_bound(2.0, 3.0, t=1, P=7.0, class_number=v), "class_number", 1, 1),
+    ("lefourn_sunit_bound.degree",
+     lambda v: lefourn_sunit_bound(1.0, 2.0, degree=v, t=3, P3=5.0), "degree", 2, 1),
+    ("lefourn_sunit_bound.t",
+     lambda v: lefourn_sunit_bound(1.0, 2.0, degree=2, t=v, P3=5.0), "t", 3, 0),
+]
+
+
+@pytest.mark.parametrize("call, name, good, minimum", [case[1:] for case in GATED],
+                         ids=[case[0] for case in GATED])
+def test_integer_gate(call, name, good, minimum):
+    for bad in (float(good), good + 0.5, str(good)):
+        with pytest.raises(BadParameter, match=f"^{name} must be an integer, got {bad!r}"):
+            call(bad)
+    if minimum is not None:
+        with pytest.raises(BadParameter,
+                           match=f"^{name} must be at least {minimum}, got {minimum - 1}$"):
+            call(minimum - 1)
+        assert call(np.int64(minimum)) == call(minimum)
+    assert call(np.int64(good)) == call(good)
+
+
+def test_as_int():
+    assert as_int(np.int64(5), "n") == 5 and type(as_int(np.int64(5), "n")) is int
+    assert as_int(3, "n", minimum=3) == 3
+    with pytest.raises(BadParameter, match=r"^n must be at least 4, got 3$"):
+        as_int(3, "n", minimum=4)
+    with pytest.raises(BadParameter, match=r"^n must be an integer, got None$"):
+        as_int(None, "n")

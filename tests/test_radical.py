@@ -116,6 +116,12 @@ class TestSmoothness:
         assert smoothness_S(make_triple(3, 125, -128)) == 5
         assert smoothness_S(make_triple(1, 1, -2)) == 2
 
+    def test_no_triple_over_q_has_three_unit_coordinates(self):
+        # +-1 +-1 +-1 is odd, so smoothness_S never meets an all-unit triple
+        for signs in itertools.product((1, -1), repeat=3):
+            with pytest.raises(SumNotZero):
+                make_triple(*signs)
+
     def test_quadratic_rejected(self):
         t = make_triple(
             AlgebraicInt(GAUSSIAN, 1, 0),
