@@ -354,6 +354,7 @@ _sieve_limit = 0
 def primes_upto(n: int) -> list[int]:
     """All rational primes <= n, cached and extended on demand."""
     global _sieve_primes, _sieve_limit
+    n = as_int(n, "n")
     if n > _sieve_limit:
         limit = max(n, 2 * _sieve_limit, 1 << 10)
         sieve = bytearray([1]) * (limit + 1)
@@ -453,6 +454,7 @@ def is_probable_prime(n: int) -> bool:
     the base-2 strong pseudoprimes below 2^64).  Above, no composite is known
     to pass both.
     """
+    n = as_int(n, "n")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -802,6 +804,7 @@ def _cornacchia_4p(D: int, p: int) -> tuple[int, int] | None:
 def splitting_type(field: QuadraticField, p: int) -> str:
     """'ramified' iff p | disc; odd p splits iff disc is a nonzero QR mod p;
     p = 2 follows disc mod 8 (split at 1, inert at 5)."""
+    p = as_int(p, "p", 2)
     if field.degree != 2:
         raise UnsupportedField("splitting is defined for quadratic fields")
     disc = field.disc

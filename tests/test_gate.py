@@ -22,8 +22,17 @@ from abckit import (
     rosser_violations,
     smooth_numbers,
     yu_ord_bound,
+    zero_bound,
 )
-from abckit.arith import as_element, as_int, first_primes, prime_ideals_in_norm_order
+from abckit.arith import (
+    as_element,
+    as_int,
+    first_primes,
+    is_probable_prime,
+    prime_ideals_in_norm_order,
+    primes_upto,
+    splitting_type,
+)
 from abckit.errors import BadParameter
 
 from conftest import GAUSSIAN
@@ -43,6 +52,9 @@ GATED = [
     ("factor_int", factor_int, "n", 360, None),
     *[(f"RecurrenceSpec.{name}", _spec_with(i), name, SPEC[i], None)
       for i, name in enumerate(("c1", "c2", "c3", "a0", "a1", "a2"))],
+    ("primes_upto", primes_upto, "n", 30, None),
+    ("is_probable_prime", is_probable_prime, "n", 97, None),
+    ("splitting_type.p", lambda v: splitting_type(GAUSSIAN, v), "p", 5, 2),
     ("first_primes", first_primes, "k", 12, 1),
     ("prime_ideals_in_norm_order", lambda v: prime_ideals_in_norm_order(GAUSSIAN, v),
      "count", 6, 1),
@@ -51,6 +63,7 @@ GATED = [
     ("yu_ord_bound.degree", lambda v: yu_ord_bound(1, v, 1, 2, [1.0], 3), "degree", 2, 1),
     ("yu_ord_bound.e_p", lambda v: yu_ord_bound(1, 1, v, 2, [1.0], 3), "e_p", 2, 1),
     ("yu_ord_bound.norm_p", lambda v: yu_ord_bound(1, 1, 1, v, [1.0], 3), "norm_p", 5, 2),
+    ("zero_bound.G", lambda v: zero_bound(v, 1.0), "G", 7, None),
     ("decide_zeros.cap", lambda v: decide_zeros(RecurrenceSpec(*SPEC), cap=v), "cap", 40, 0),
     ("enumerate_primitive_triples", enumerate_primitive_triples, "H_limit", 20, 2),
     ("smooth_numbers.P", lambda v: smooth_numbers(v, 100), "P", 7, None),

@@ -32,14 +32,20 @@ from abckit.errors import (
 from abckit import sml
 from abckit.arith import factor_element, primes_upto
 from abckit.sml import (
+    CHECK_MODULUS,
     LANE_CROSSOVER,
     SCAN_MODULUS,
+    SIEVE_PERIOD_CAP,
+    SIEVE_PRIMES,
+    SIEVE_SURVIVORS,
     _enumerate_zeros,
     _has_zero_field,
     _lane_count,
     _pack,
+    _period_mod,
     _scan_lanes,
     _scan_scalar,
+    _sieve,
     _state_at,
     closed_form_value,
 )
@@ -572,14 +578,25 @@ def planted_zero(roots: tuple[int, int, int], N: int) -> RecurrenceSpec:
                                         for n in range(3)))
 
 
-def planted_candidate(c: tuple[int, int, int], a0: int, a2: int,
-                      N: int) -> RecurrenceSpec | None:
-    """A spec with a_N = 0 mod SCAN_MODULUS, found by solving for a1; None
-    when the coefficient of a1 in a_N is 0 mod SCAN_MODULUS."""
-    M = SCAN_MODULUS
+def planted_quadratic_zero(s: int, u: int, v: int, d: int, N: int) -> RecurrenceSpec:
+    """a_n = s^N t_n - t_N s^n with t_n = 2 Re((1 + sqrt d) alpha^n) and
+    alpha = u + v sqrt(d): roots s, alpha and its conjugate, and a_N = 0."""
+    t, x, y = [], 1, 1
+    for _ in range(max(N, 2) + 1):
+        t.append(2 * x)
+        x, y = x * u + y * v * d, x * v + y * u
+    norm = u * u - d * v * v
+    return RecurrenceSpec(s + 2 * u, -(2 * u * s + norm), s * norm,
+                          *(s**N * t[n] - t[N] * s**n for n in range(3)))
+
+
+def planted_candidate(c: tuple[int, int, int], a0: int, a2: int, N: int,
+                      M: int = SCAN_MODULUS) -> RecurrenceSpec | None:
+    """A spec with a_N = 0 mod M, found by solving for a1; None when the
+    coefficient of a1 in a_N is not a unit mod M."""
     row = [_state_at(RecurrenceSpec(*c, *unit), N, M)[0]
            for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    if row[1] == 0:
+    if math.gcd(row[1], M) != 1:
         return None
     a1 = -(row[0] * a0 + row[2] * a2) * pow(row[1], -1, M) % M
     return RecurrenceSpec(*c, a0, a1, a2)
@@ -715,3 +732,134 @@ class TestLaneScan:
             flagged = _has_zero_field(_pack(fields), _pack([1] * lanes),
                                       _pack([1 << 60] * lanes))
             assert flagged == (0 in fields), fields
+
+
+# the primes p = 3 mod 4 are inert in Q(i), so for roots there the period
+# mod p need not divide p - 1
+INERT_D = -1
+
+
+class TestSieve:
+    """The small-prime period sieve in front of the lane scan."""
+
+    @pytest.mark.parametrize("spec", [
+        FLAGSHIP,
+        spec_from_roots(2, 5, 9, 0, 1, 3),  # roots 2 and 9 repeated mod 7
+        planted_quadratic_zero(3, 2, 1, INERT_D, 7),
+        planted_quadratic_zero(-2, 1, 2, -7, 40),
+        RecurrenceSpec(1, 1, 1, 0, 0, 1),  # tribonacci, irreducible
+    ])
+    def test_period_and_zero_residues(self, spec):
+        values = recurrence_values(spec, SIEVE_PERIOD_CAP + 3)
+        for p in SIEVE_PRIMES:
+            if spec.c3 % p == 0:
+                continue
+            reduced = [v % p for v in values]
+            returns = [t for t in range(1, SIEVE_PERIOD_CAP + 1)
+                       if reduced[t:t + 3] == reduced[:3]]
+            period = _period_mod(spec, p)
+            if not returns:
+                assert period is None
+                continue
+            T, zeros = period
+            assert T == returns[0]
+            assert zeros == sum(1 << z for z in range(T) if reduced[z] == 0)
+
+    def test_periods_that_do_not_divide_p_minus_1(self):
+        # the cases a sieve that took T = p - 1 on trust gets wrong: roots 2
+        # and 9 repeated mod 7, and roots 2 +- i in F_{p^2} for p = 7, 11,
+        # which are inert in Q(i)
+        assert _period_mod(spec_from_roots(2, 5, 9, 0, 1, 3), 7)[0] == 42
+        spec = planted_quadratic_zero(3, 2, 1, INERT_D, 7)
+        assert _period_mod(spec, 7)[0] == 48
+        assert _period_mod(spec, 11)[0] == 30
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        roots=st.lists(st.sampled_from([r for r in range(-9, 10) if r]), min_size=3,
+                       max_size=3, unique=True),
+        total=st.integers(LANE_CROSSOVER, 5000),
+        where=st.floats(0, 1),
+    )
+    def test_planted_rational_zeros(self, roots, total, where):
+        N = min(int(where * total), total - 1)
+        spec = planted_zero(tuple(roots), N)
+        zeros = _enumerate_zeros(spec, total - 1)
+        assert N in zeros
+        assert zeros == exact_zeros(spec, total - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.integers(-9, 9).filter(bool),
+        u=st.integers(-6, 6),
+        v=st.integers(1, 6),
+        d=st.sampled_from([-1, -2, -3, -7, -11]),
+        total=st.integers(LANE_CROSSOVER, 5000),
+        where=st.floats(0, 1),
+    )
+    def test_planted_quadratic_zeros(self, s, u, v, d, total, where):
+        N = min(int(where * total), total - 1)
+        spec = planted_quadratic_zero(s, u, v, d, N)
+        zeros = _enumerate_zeros(spec, total - 1)
+        assert N in zeros
+        assert zeros == exact_zeros(spec, total - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.tuples(st.integers(-50, 50), st.integers(-50, 50),
+                    st.integers(-50, 50).filter(bool)),
+        a=st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+        total=st.integers(LANE_CROSSOVER, 5000),
+        where=st.floats(0, 1),
+    )
+    def test_planted_false_candidates(self, c, a, total, where):
+        # a_N = 0 mod every sieve prime and mod CHECK_MODULUS, so N passes the
+        # sieve and the recheck; only the exact confirmation can drop it
+        N = min(int(where * total), total - 1)
+        spec = planted_candidate(c, *a, N, math.prod(SIEVE_PRIMES) * CHECK_MODULUS)
+        if spec is None:
+            return
+        survivors = _sieve(spec, total)
+        assert survivors is None or N in survivors
+        assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)
+
+    @pytest.mark.parametrize("block", [64, 97])
+    def test_zeros_at_block_edges(self, monkeypatch, block):
+        monkeypatch.setattr(sml, "SIEVE_BLOCK", block)
+        total = LANE_CROSSOVER + 3 * block + 5
+        ends = [k * block + e for k in (0, 1, 5, total // block)
+                for e in (-1, 0, 1) if 0 <= k * block + e < total]
+        for N in ends + [total - 1]:
+            for spec in (planted_zero((2, 3, 5), N), planted_zero((-7, 11, 13), N),
+                         planted_quadratic_zero(3, 2, 1, INERT_D, N)):
+                survivors = _sieve(spec, total)
+                assert survivors is not None and N in survivors
+                assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)
+
+    def test_capped_spec_keeps_a_handful_of_indices(self):
+        # a capped catalogue spec over Q(sqrt -7) whose one zero below 10^4 is a_0
+        spec = RecurrenceSpec(-3, 17, -77, 0, 8, 1528)
+        survivors = _sieve(spec, 10**4 + 1)
+        assert survivors is not None and 0 in survivors
+        assert len(survivors) <= SIEVE_SURVIVORS
+        assert _enumerate_zeros(spec, 10**4) == (0,)
+
+    def test_falls_back_to_the_lane_scan_when_no_prime_narrows(self, monkeypatch):
+        # every a_n is a multiple of every sieve prime, so no prime narrows
+        # anything and the lane scan runs
+        P = math.prod(SIEVE_PRIMES)
+        base = planted_zero((2, 3, 5), 1500)
+        spec = RecurrenceSpec(base.c1, base.c2, base.c3, P * base.a0, P * base.a1,
+                              P * base.a2)
+        total = 2 * LANE_CROSSOVER
+        assert _sieve(spec, total) is None
+        lane_scans = []
+
+        def counting_scan_lanes(spec, total, lanes):
+            lane_scans.append(total)
+            return _scan_lanes(spec, total, lanes)
+
+        monkeypatch.setattr(sml, "_scan_lanes", counting_scan_lanes)
+        assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)
+        assert 1500 in exact_zeros(spec, total - 1)
+        assert lane_scans == [total]

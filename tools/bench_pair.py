@@ -17,8 +17,8 @@ run to the named workloads and probes; by default all of them run.
 It writes ``BENCH_<topic>.json``: for each workload and end-to-end metric,
 both sides' runs, median and quartiles (IQR = q3 - q1) and the number of
 pairs the change won (ties count for neither), the failed and attempted
-operation counts, the same for each probe, and the environment (Python,
-``mpmath.libmp.BACKEND``, nproc, CPU).
+operation counts, the same for each probe's seconds and its process's peak
+RSS, and the environment (Python, ``mpmath.libmp.BACKEND``, nproc, CPU).
 """
 
 from __future__ import annotations
@@ -143,6 +143,65 @@ seconds = time.perf_counter() - t0
 assert (verdict.status, verdict.N, verdict.zeros) == ("NoZerosUpToBound", 10**6, ())
 work = verdict.N + 1
 """),
+    "sml.enumerate_zeros.capped_1e4_s": (
+        "_enumerate_zeros at 10^4 on each of the 120 capped specs of the "
+        "recurrence_batch catalogue, the scans behind that workload's p90",
+        """
+from abckit import RecurrenceSpec
+from abckit.sml import _enumerate_zeros
+from generators import load_reference
+specs = [RecurrenceSpec(*item["spec"]) for item in load_reference("recurrence_batch")["catalogue"]
+         if item["verdict"].get("truncated")]
+t0 = time.perf_counter()
+for spec in specs:
+    _enumerate_zeros(spec, 10**4)
+seconds = time.perf_counter() - t0
+work = len(specs)
+"""),
+    "sml.enumerate_zeros.capped_1e6_s": (
+        "_enumerate_zeros at 10^6, the CLI's default cap, on the first ten "
+        "capped specs of the recurrence_batch catalogue",
+        """
+from abckit import RecurrenceSpec
+from abckit.sml import _enumerate_zeros
+from generators import load_reference
+specs = [RecurrenceSpec(*item["spec"]) for item in load_reference("recurrence_batch")["catalogue"]
+         if item["verdict"].get("truncated")][:10]
+t0 = time.perf_counter()
+for spec in specs:
+    _enumerate_zeros(spec, 10**6)
+seconds = time.perf_counter() - t0
+work = len(specs)
+"""),
+    "sml.enumerate_zeros.fallback_s": (
+        "_enumerate_zeros at 10^5 on a spec whose terms are all multiples of "
+        "the odd primes below 200, so no prime of the sieve narrows anything "
+        "and the lane scan runs after it",
+        """
+from math import prod
+from abckit import RecurrenceSpec
+from abckit.arith import primes_upto
+from abckit.sml import _enumerate_zeros
+P = prod(primes_upto(199)[1:])
+spec = RecurrenceSpec(10, -31, 30, 31 * P, 112 * P, 452 * P)
+t0 = time.perf_counter()
+assert _enumerate_zeros(spec, 10**5) == ()
+seconds = time.perf_counter() - t0
+work = 10**5 + 1
+"""),
+    "sml.enumerate_zeros.capped_1e8_s": (
+        "_enumerate_zeros at 10^8 on the catalogue's capped spec "
+        "(-3, 17, -77, 0, 8, 1528) over Q(sqrt -7), whose one zero is a_0; "
+        "peak_rss_mb shows whether memory grows with the limit",
+        """
+from abckit import RecurrenceSpec
+from abckit.sml import _enumerate_zeros
+spec = RecurrenceSpec(-3, 17, -77, 0, 8, 1528)
+t0 = time.perf_counter()
+assert _enumerate_zeros(spec, 10**8) == (0,)
+seconds = time.perf_counter() - t0
+work = 10**8 + 1
+"""),
     "sml.decide_zeros.catalogue_algebra_s": (
         "decide_zeros at cap 0 over the 450 specs of the recurrence_batch "
         "catalogue, errors caught, so a scan covers at most max(n0, 2) + 1 "
@@ -240,10 +299,11 @@ assert work == 2236629
 }
 
 PROBE_MAIN = """
-import json, sys, time
+import json, resource, sys, time
 sys.path[:0] = ["src", "bench"]
 {code}
-print(json.dumps({{"seconds": seconds, "work": work}}))
+print(json.dumps({{"seconds": seconds, "work": work,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}}))
 """
 
 
@@ -370,7 +430,9 @@ def main() -> int:
             result["per_layer"][name] = {
                 "what": PROBES[name][0], "unit": "s", "work": runs["change"][0]["work"],
                 **_compare([r["seconds"] for r in runs["parent"]],
-                           [r["seconds"] for r in runs["change"]], "lower")}
+                           [r["seconds"] for r in runs["change"]], "lower"),
+                "peak_rss_mb": _compare([r["peak_rss_mb"] for r in runs["parent"]],
+                                        [r["peak_rss_mb"] for r in runs["change"]], "lower")}
 
     path = os.path.join(ROOT, f"BENCH_{args.topic}.json")
     with open(path, "w") as fh:
