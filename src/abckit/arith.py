@@ -14,6 +14,7 @@ otherwise; Q has t = n = 0 and y = 0 throughout.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import random
 import re
@@ -43,6 +44,15 @@ def as_int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and n < minimum:
         raise BadParameter(f"{name} must be at least {minimum}, got {n}")
     return n
+
+
+def as_real(value, name: str):
+    """The gate for real-valued arguments: any `numbers.Real` (an int, a
+    float, a Fraction, a numpy float) passes unchanged; a string, None, a
+    complex number or a nan raises BadParameter naming `name`."""
+    if not isinstance(value, numbers.Real) or value != value:
+        raise BadParameter(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 CLASS_NUMBER_ONE_D = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
@@ -885,8 +895,8 @@ def canonical_associate(alpha: AlgebraicInt) -> AlgebraicInt:
     """The unique associate in the canonical region; idempotent.
 
     Over Q: positive.  In Z[i]: x > 0 and y >= 0.  For d = -3: the
-    lexicographically (x, y)-smallest associate in the half-plane
-    x > 0 or (x = 0, y > 0).  Elsewhere: that half-plane directly.
+    lexicographically (x, y)-smallest associate with x > 0 or
+    (x = 0, y > 0).  Elsewhere: the one associate with x > 0 or (x = 0, y > 0).
 
     Computed on the coordinates: the units are +-1 except in Z[i] and for
     d = -3, where omega itself is a unit of order 4 and 6, and multiplying

@@ -14,7 +14,7 @@ import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arith import QuadraticField, as_int, prime_ideals_in_norm_order
+from .arith import QuadraticField, as_int, as_real, prime_ideals_in_norm_order
 from .errors import (
     BadAlpha,
     BadParameter,
@@ -89,6 +89,7 @@ def exponent_term(G: int, C: float, config: BoundConfig = DEFAULT_CONFIG) -> flo
     With ``full_exponent`` the dropped lower-order terms 1/loglog G and
     loglog G / log G are added back in.
     """
+    G = as_int(G, "G")
     _check_radical(G)
     if is_small_radical(G, config):
         return 0.0
@@ -431,6 +432,7 @@ def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
 
 def tidy_bound(x: float) -> float:
     """max(e, 2x log x): any a with a / log a < x satisfies a < tidy_bound(x)."""
+    x = as_real(x, "x")
     if not (0 < x < math.inf):
         raise BadParameter("x must be positive and finite")
     return float(max(MP.e, 2 * x * MP.log(x)))

@@ -13,10 +13,8 @@ sequence modulo the prime 2^61 - 1.  Past that, a sieve first keeps only the
 indices at which the sequence vanishes modulo each of a few small primes, as
 in the modular step of Skolem's method: mod p the sequence is periodic, so
 its zero residues, tiled as a bitmask, rule out every other index.  If no
-prime narrows the indices enough, the scan advances up to 1024 stretches of
-the sequence modulo 2^61 - 1 together, as 128-bit fields of one Python int
-(SIMD within a register), and finds zero fields with Lamport's test from
-"Multiple byte processing with full-word instructions" (CACM 18(8), 1975).
+prime narrows the indices enough, the scan steps the sequence modulo 2^61 - 1
+there too.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from .arith import (
     _entry_key,
     _factor_nat,
     as_int,
+    as_real,
     canonical_associate,
     factor_element,
     primes_upto,
@@ -52,9 +51,7 @@ HARD_ENUMERATION_LIMIT = 10**9
 DEFAULT_CAP = 10**6
 SCAN_MODULUS = (1 << 61) - 1  # a Mersenne prime: a_n = 0 implies a_n = 0 mod it
 CHECK_MODULUS = (1 << 127) - 1  # a second Mersenne prime, to recheck candidates
-LANE_BYTES = 16  # one 128-bit field per lane of the scan
-LANE_CROSSOVER = 1024  # scans of fewer terms run one term at a time
-MAX_LANES = 1024
+SIEVE_CROSSOVER = 1024  # scans of fewer terms run one term at a time, unsieved
 SIEVE_PRIMES = tuple(primes_upto(199)[1:])  # the odd primes below 200
 SIEVE_PERIOD_CAP = 256  # a prime whose period mod it is longer is skipped
 SIEVE_BUDGET = 4096  # steps mod small primes, in all, before the sieve gives up
@@ -348,6 +345,7 @@ def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> fl
     G = as_int(G, "G")
     if G < 2:
         raise BadRadical(f"radical must be at least 2, got {G}")
+    h_max = as_real(h_max, "h_max")
     if h_max <= 0:
         raise DegenerateHeight("largest root height must be positive")
     term = exponent_term(G, config.C_main, config)
@@ -376,19 +374,15 @@ def _companion_power(spec: RecurrenceSpec, n: int, modulus: int | None = None):
     return P
 
 
-def _apply(P, v: tuple[int, int, int], modulus: int | None = None) -> tuple[int, int, int]:
-    """The matrix-vector product P v, exact or reduced mod `modulus`."""
-    w = tuple(sum(P[i][k] * v[k] for k in range(3)) for i in range(3))
-    return w if modulus is None else tuple(x % modulus for x in w)
-
-
 def _state_at(spec: RecurrenceSpec, n: int, modulus: int | None = None,
               state: tuple[int, int, int] | None = None) -> tuple[int, int, int]:
     """(a_n, a_{n+1}, a_{n+2}) by companion-matrix power: exact, or reduced
     mod `modulus` after every product.  Given the state (a_m, a_{m+1}, a_{m+2})
     instead of the initial values, it returns the state at m + n."""
     v = state if state is not None else (spec.a0, spec.a1, spec.a2)
-    return _apply(_companion_power(spec, n, modulus), v, modulus)
+    P = _companion_power(spec, n, modulus)
+    w = tuple(sum(P[i][k] * v[k] for k in range(3)) for i in range(3))
+    return w if modulus is None else tuple(x % modulus for x in w)
 
 
 def _scan_scalar(spec: RecurrenceSpec, total: int) -> list[int]:
@@ -401,73 +395,6 @@ def _scan_scalar(spec: RecurrenceSpec, total: int) -> list[int]:
             candidates.append(n)
         w0, w1, w2 = w1, w2, (c1 * w2 + c2 * w1 + c3 * w0) % SCAN_MODULUS
     return candidates
-
-
-def _pack(values) -> int:
-    """One int whose LANE_BYTES-byte field j holds values[j]."""
-    return int.from_bytes(b"".join(v.to_bytes(LANE_BYTES, "little") for v in values),
-                          "little")
-
-
-def _has_zero_field(W: int, ones: int, high: int) -> bool:
-    """Lamport's test: whether some field of W is zero, for fields below 2^61
-    and with 1 in every field of `ones` and 2^60 in every field of `high`.
-
-    In W - ones a zero field borrows and sets its bit 60.  A nonzero field
-    sets it only if it had it already, which ~W clears, or if it is 1 and
-    the field below it borrowed, which happens only above a zero field.
-    """
-    return bool((W - ones) & ~W & high)
-
-
-def _scan_lanes(spec: RecurrenceSpec, total: int, lanes: int) -> list[int]:
-    """The same candidates as _scan_scalar, with up to `lanes` stretches of the
-    sequence advanced together as the 128-bit fields of three ints.
-
-    With S = ceil(total / lanes), field j of (W0, W1, W2) starts as the
-    reduced state (a_n, a_{n+1}, a_{n+2}) at n = j S, from one power M^S of
-    the companion matrix and one matrix-vector product per lane.  A step sets
-    F = c1 W2 + c2 W1 + c3 W0 with every c and field in [0, p), p =
-    SCAN_MODULUS = 2^61 - 1, so a field of F is below 3 * 2^122 and no carry
-    crosses into the next one.  Two Mersenne folds x -> (x mod 2^61) +
-    floor(x / 2^61), applied to every field at once, bring each field below
-    p + 5; one more fold of F + 1, minus 1, makes it canonical, in [0, p).
-    Only a step at which _has_zero_field finds a zero field reads its fields
-    one at a time.
-    """
-    step = ceil(total / lanes)
-    lanes = ceil(total / step)
-    P = _companion_power(spec, step, SCAN_MODULUS)
-    state = tuple(a % SCAN_MODULUS for a in (spec.a0, spec.a1, spec.a2))
-    starts = []
-    for _ in range(lanes):
-        starts.append(state)
-        state = _apply(P, state, SCAN_MODULUS)
-    W0, W1, W2 = (_pack(column) for column in zip(*starts))
-    # `low` keeps bits 0-60 of each field; after a shift by 61, `fold` keeps
-    # the field's own bits 61-127 and drops those shifted in from above
-    ones, low, fold, high = (_pack([v] * lanes) for v in
-                             (1, SCAN_MODULUS, (1 << 67) - 1, 1 << 60))
-    c1, c2, c3 = (c % SCAN_MODULUS for c in (spec.c1, spec.c2, spec.c3))
-    zero = bytes(LANE_BYTES)
-    candidates = []
-    for t in range(step):
-        if _has_zero_field(W0, ones, high):
-            raw = W0.to_bytes(LANE_BYTES * lanes, "little")
-            candidates += [n for j, n in enumerate(range(t, total, step))
-                           if raw[LANE_BYTES * j:LANE_BYTES * (j + 1)] == zero]
-        F = c1 * W2 + c2 * W1 + c3 * W0
-        F = (F & low) + ((F >> 61) & fold)
-        F = (F & low) + ((F >> 61) & fold) + ones
-        F = (F & low) + ((F >> 61) & fold) - ones
-        W0, W1, W2 = W1, W2, F
-    return sorted(candidates)
-
-
-def _lane_count(total: int) -> int:
-    """The number of lanes for a scan of `total` terms.  From 10^4 terms on,
-    a quarter to four times that many lanes stay within 40% of its time."""
-    return min(MAX_LANES, isqrt(total) // 2)
 
 
 def _period_mod(spec: RecurrenceSpec, p: int) -> tuple[int, int] | None:
@@ -554,41 +481,38 @@ def _sieve(spec: RecurrenceSpec, total: int) -> list[int] | None:
 def _enumerate_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
     """All n in [0, limit] with a_n = 0.
 
-    Below LANE_CROSSOVER terms the sequence is scanned one term at a time
+    Below SIEVE_CROSSOVER terms the sequence is scanned one term at a time
     modulo SCAN_MODULUS.  From there on _sieve keeps only the indices at
-    which a_n vanishes modulo a few small primes, and only if it gives up do
-    _lane_count(limit + 1) lanes scan modulo SCAN_MODULUS.  Every zero is a
-    candidate, because a_n = 0 implies a_n = 0 modulo any prime, and passes
-    a recheck mod CHECK_MODULUS for the same reason; a candidate that passes
-    is kept only if a_n = 0 exactly.  The exact state moves only from one
-    passing candidate to the next: a false one costs a modular jump, and no
-    sequence costs more than an exact scan.
+    which a_n vanishes modulo a few small primes, and only if it gives up
+    is the whole sequence scanned one term at a time after all.  Every zero
+    is a candidate, because a_n = 0 implies a_n = 0 modulo any prime, and
+    passes a recheck mod CHECK_MODULUS for the same reason; a candidate that
+    passes is kept only if a_n = 0 exactly.  The exact state moves only from
+    one passing candidate to the next: a false one costs a modular jump, and
+    no sequence costs more than an exact scan.
 
-    Best-of-n times on a 2-vCPU AMD EPYC, Python 3.11.7, of the two scans
-    for A = RecurrenceSpec(10, -31, 30, 10^6 + 3, 112, 452), and of the
-    whole call for A, which some prime rules out everywhere, and for the
-    capped catalogue spec B = RecurrenceSpec(-3, 17, -77, 0, 8, 1528),
+    Best-of-n times on a 2-vCPU Intel Xeon, Python 3.11.7, of the scan one
+    term at a time for A = RecurrenceSpec(10, -31, 30, 10^6 + 3, 112, 452),
+    and of the whole call for A, which some prime rules out everywhere, and
+    for the capped catalogue spec B = RecurrenceSpec(-3, 17, -77, 0, 8, 1528),
     whose one zero is a_0 and whose false survivors each cost a recheck:
 
-        terms   one at a time   in lanes   sieve, A   sieve, B (survivors)
-        1,024        0.162 ms   0.155 ms   0.004 ms   0.19 ms (3)
-       10,000          1.5 ms    0.73 ms   0.005 ms   0.26 ms (3)
-      100,000           15 ms     5.3 ms   0.017 ms   0.53 ms (4)
-    1,000,000          151 ms      46 ms   0.063 ms    5.2 ms (37)
-       10^7                                 0.51 ms     49 ms (361)
+        terms   one at a time   sieve, A   sieve, B (survivors)
+        1,024         0.40 ms   0.011 ms   0.47 ms (3)
+       10,000          5.1 ms   0.017 ms   0.93 ms (3)
+      100,000           51 ms   0.053 ms    1.1 ms (4)
+    1,000,000          530 ms    0.22 ms     21 ms (37)
+       10^7                       1.7 ms    199 ms (361)
 
     Over the 120 capped specs of the recurrence_batch catalogue at 10^4
-    the call takes 0.017 ms in the median (0.78 ms in lanes alone).  A spec
-    that no prime narrows pays the sieve's steps, about 0.03 ms, on top of
-    the lanes.
+    the call takes 0.039 ms in the median.  A spec that no prime narrows
+    pays the sieve's steps, about 0.06 ms, on top of the scan one term at
+    a time.
     """
     total = limit + 1
-    if total < LANE_CROSSOVER:
+    candidates = _sieve(spec, total) if total >= SIEVE_CROSSOVER else None
+    if candidates is None:
         candidates = _scan_scalar(spec, total)
-    else:
-        candidates = _sieve(spec, total)
-        if candidates is None:
-            candidates = _scan_lanes(spec, total, _lane_count(total))
     zeros = []
     at, state = 0, (spec.a0, spec.a1, spec.a2)
     checked_at, checked = 0, tuple(a % CHECK_MODULUS for a in state)

@@ -177,9 +177,9 @@ class TestCommands:
         code, out, err = run(capsys, SML_FLAGSHIP + ["--cap", "-5"])
         assert code == 1 and "cap must be at least 0" in err and out == ""
 
-    def test_sml_decide_past_the_lane_crossover(self, capsys):
+    def test_sml_decide_past_the_sieve_crossover(self, capsys):
         # the bound passes the hard limit, so the cap decides: 5001 terms,
-        # enough for the scan to run in lanes
+        # enough for the scan to run through the sieve
         code, out, _ = run(capsys, ["sml", "decide", "--c1", "10", "--c2", "-31",
                                     "--c3", "30", "--a0", "1000003", "--a1", "112",
                                     "--a2", "452", "--cap", "5000"])

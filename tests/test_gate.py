@@ -1,6 +1,12 @@
 """Every public integer argument goes through `arith.as_int`: a numpy integer
 acts as the int, a float or numeric string raises BadParameter naming the
-argument, and a value below the argument's minimum names that minimum."""
+argument, and a value below the argument's minimum names that minimum.  The
+real-valued arguments gated so far go through `arith.as_real`: any real number
+is taken, and a string, None, a complex number or a nan raises BadParameter."""
+
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from abckit import (
     decide_zeros,
     enumerate_primitive_triples,
     enumerate_triples,
+    exponent_term,
     factor_int,
     gyory_sunit_bound,
     landau_min_constant,
@@ -21,12 +28,14 @@ from abckit import (
     primorial_chain_violations,
     rosser_violations,
     smooth_numbers,
+    tidy_bound,
     yu_ord_bound,
     zero_bound,
 )
 from abckit.arith import (
     as_element,
     as_int,
+    as_real,
     first_primes,
     is_probable_prime,
     prime_ideals_in_norm_order,
@@ -64,6 +73,7 @@ GATED = [
     ("yu_ord_bound.e_p", lambda v: yu_ord_bound(1, 1, v, 2, [1.0], 3), "e_p", 2, 1),
     ("yu_ord_bound.norm_p", lambda v: yu_ord_bound(1, 1, 1, v, [1.0], 3), "norm_p", 5, 2),
     ("zero_bound.G", lambda v: zero_bound(v, 1.0), "G", 7, None),
+    ("exponent_term.G", lambda v: exponent_term(v, 1.0), "G", 30030, None),
     ("decide_zeros.cap", lambda v: decide_zeros(RecurrenceSpec(*SPEC), cap=v), "cap", 40, 0),
     ("enumerate_primitive_triples", enumerate_primitive_triples, "H_limit", 20, 2),
     ("smooth_numbers.P", lambda v: smooth_numbers(v, 100), "P", 7, None),
@@ -106,3 +116,29 @@ def test_as_int():
         as_int(3, "n", minimum=4)
     with pytest.raises(BadParameter, match=r"^n must be an integer, got None$"):
         as_int(None, "n")
+
+
+# (id, call taking the value, argument name, a valid value)
+REAL_GATED = [
+    ("tidy_bound.x", tidy_bound, "x", 3),
+    ("zero_bound.h_max", lambda v: zero_bound(30030, v), "h_max", 2),
+]
+
+
+@pytest.mark.parametrize("call, name, good", [case[1:] for case in REAL_GATED],
+                         ids=[case[0] for case in REAL_GATED])
+def test_real_gate(call, name, good):
+    for bad in (str(good), None, complex(good), math.nan):
+        with pytest.raises(BadParameter,
+                           match=f"^{name} must be a real number, got {re.escape(repr(bad))}$"):
+            call(bad)
+    for same in (float(good), np.float64(good), np.int64(good), Fraction(good)):
+        assert call(same) == call(good)
+
+
+def test_as_real():
+    for value in (3, 2.5, Fraction(1, 3), np.float32(0.5), True, math.inf):
+        assert as_real(value, "x") is value
+    for bad in ("1", None, 1j, float("nan"), np.float64("nan")):
+        with pytest.raises(BadParameter, match=r"^x must be a real number, got "):
+            as_real(bad, "x")

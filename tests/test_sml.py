@@ -33,17 +33,13 @@ from abckit import sml
 from abckit.arith import factor_element, primes_upto
 from abckit.sml import (
     CHECK_MODULUS,
-    LANE_CROSSOVER,
     SCAN_MODULUS,
+    SIEVE_CROSSOVER,
     SIEVE_PERIOD_CAP,
     SIEVE_PRIMES,
     SIEVE_SURVIVORS,
     _enumerate_zeros,
-    _has_zero_field,
-    _lane_count,
-    _pack,
     _period_mod,
-    _scan_lanes,
     _scan_scalar,
     _sieve,
     _state_at,
@@ -634,18 +630,16 @@ class TestModularScan:
         # a_n = M (2^n + 3^n - 5^n): every term is 0 mod M, only a_1 is 0
         M = SCAN_MODULUS
         spec = RecurrenceSpec(10, -31, 30, M, 0, -12 * M)
-        for limit in (300, 3 * LANE_CROSSOVER):
-            assert _scan_scalar(spec, limit + 1) == list(range(limit + 1))
-            assert _scan_lanes(spec, limit + 1, _lane_count(limit + 1)) == \
-                list(range(limit + 1))
-            assert _enumerate_zeros(spec, limit) == (1,) == exact_zeros(spec, limit)
-
+        assert _scan_scalar(spec, 301) == list(range(301))
+        assert _enumerate_zeros(spec, 300) == (1,) == exact_zeros(spec, 300)
 
     def test_false_candidate_far_out_needs_no_exact_jump(self, monkeypatch):
-        # a_n = 0 mod SCAN_MODULUS at n = 999,995 but a_n != 0: the recheck
-        # modulo a second prime drops it before any exact jump
-        spec = planted_candidate((10, -31, 30), 31, 452, 999_995)
-        assert 999_995 in _scan_lanes(spec, 10**6 + 1, _lane_count(10**6 + 1))
+        # a_n = 0 mod every sieve prime that does not divide c3 = 30 at
+        # n = 999,995 but a_n != 0: the sieve keeps n, and the recheck modulo
+        # CHECK_MODULUS drops it before any exact jump
+        M = math.prod(p for p in SIEVE_PRIMES if 30 % p)
+        spec = planted_candidate((10, -31, 30), 31, 452, 999_995, M)
+        assert 999_995 in _sieve(spec, 10**6 + 1)
         exact_jumps = []
 
         def counting_state_at(spec, n, modulus=None, state=None):
@@ -658,52 +652,73 @@ class TestModularScan:
         assert exact_jumps == []
 
 
-class TestLaneScan:
-    """The lane scan against the scalar scan, candidate for candidate."""
+class TestScalarFallback:
+    """_enumerate_zeros past SIEVE_CROSSOVER when the sieve gives up, as it
+    does here with no primes to take, and the scalar scan runs instead."""
 
-    @settings(max_examples=60, deadline=None)
+    @pytest.fixture(autouse=True, scope="class")
+    def no_sieve_primes(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sml, "SIEVE_PRIMES", ())
+            yield
+
+    @settings(max_examples=30, deadline=None)
     @given(
-        c=st.tuples(st.integers(-6, 6), st.integers(-6, 6),
-                    st.integers(-6, 6).filter(bool)),
-        a=st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)),
-        total=st.integers(1, 600),
-        lanes=st.integers(1, 40),
+        roots=st.lists(st.sampled_from([r for r in range(-9, 10) if r]), min_size=3,
+                       max_size=3, unique=True),
+        total=st.integers(SIEVE_CROSSOVER, 5000),
+        where=st.floats(0, 1),
     )
-    def test_small_recurrences(self, c, a, total, lanes):
-        spec = RecurrenceSpec(*c, *a)
-        assert _scan_lanes(spec, total, lanes) == _scan_scalar(spec, total)
+    def test_planted_rational_zeros(self, roots, total, where):
+        N = min(int(where * total), total - 1)
+        spec = planted_zero(tuple(roots), N)
+        assert _sieve(spec, total) is None
+        zeros = _enumerate_zeros(spec, total - 1)
+        assert N in zeros
+        assert zeros == exact_zeros(spec, total - 1)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        s=st.integers(-9, 9).filter(bool),
+        u=st.integers(-6, 6),
+        v=st.integers(1, 6),
+        d=st.sampled_from([-1, -2, -3, -7, -11]),
+        total=st.integers(SIEVE_CROSSOVER, 5000),
+        where=st.floats(0, 1),
+    )
+    def test_planted_quadratic_zeros(self, s, u, v, d, total, where):
+        N = min(int(where * total), total - 1)
+        spec = planted_quadratic_zero(s, u, v, d, N)
+        assert _sieve(spec, total) is None
+        zeros = _enumerate_zeros(spec, total - 1)
+        assert N in zeros
+        assert zeros == exact_zeros(spec, total - 1)
+
+    @settings(max_examples=30, deadline=None)
     @given(
         c=st.tuples(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12),
                     st.integers(-10**12, 10**12).filter(bool)),
         a=st.tuples(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12)),
-        total=st.integers(1, 3000),
-        lanes=st.integers(1, 60),
+        total=st.integers(SIEVE_CROSSOVER, 5000),
         where=st.floats(0, 1),
+        M=st.sampled_from([SCAN_MODULUS, SCAN_MODULUS * CHECK_MODULUS]),
     )
-    def test_planted_candidates_with_large_coefficients(self, c, a, total, lanes, where):
+    def test_planted_false_candidates(self, c, a, total, where, M):
+        # a_N = 0 mod SCAN_MODULUS, and mod CHECK_MODULUS too when M is their
+        # product: the recheck or the exact confirmation must drop N
         N = min(int(where * total), total - 1)
-        spec = planted_candidate(c, *a, N)
+        spec = planted_candidate(c, *a, N, M)
         if spec is None:
             return
-        candidates = _scan_scalar(spec, total)
-        assert N in candidates
-        assert _scan_lanes(spec, total, lanes) == candidates
+        assert N in _scan_scalar(spec, total)
+        assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)
 
-    @pytest.mark.parametrize("total", [LANE_CROSSOVER - 1, LANE_CROSSOVER,
-                                       LANE_CROSSOVER + 1, 5001])
-    def test_zeros_at_the_ends_of_lanes(self, total):
-        # 5001 terms run in 35 lanes of 143, the last one short
-        lanes = _lane_count(total)
-        step = math.ceil(total / lanes)
-        for N in (0, step - 1, step, 2 * step - 1, (lanes // 2) * step,
-                  (lanes // 2) * step - 1, total - step, total - 1):
+    @pytest.mark.parametrize("total", [SIEVE_CROSSOVER - 1, SIEVE_CROSSOVER,
+                                       SIEVE_CROSSOVER + 1, 5001])
+    def test_zeros_at_the_ends_of_the_scan(self, total):
+        for N in (0, 1, total // 2, total - 2, total - 1):
             for roots in ((2, 3, 5), (-7, 11, 13)):
                 spec = planted_zero(roots, N)
-                candidates = _scan_scalar(spec, total)
-                assert N in candidates
-                assert _scan_lanes(spec, total, lanes) == candidates
                 assert _enumerate_zeros(spec, total - 1) == (N,) == \
                     exact_zeros(spec, total - 1)
 
@@ -711,27 +726,22 @@ class TestLaneScan:
     def test_c3_a_multiple_of_the_modulus(self, k):
         # c3 = 0 mod M: the scan sees an order-2 recurrence, the exact check does not
         M = SCAN_MODULUS
-        total = 2 * LANE_CROSSOVER + 7
+        total = 2 * SIEVE_CROSSOVER + 7
         for a in ((0, 1, 3), (5, 0, 0), (1, 2, 3)):
             spec = RecurrenceSpec(3, -2, k * M, *a)
-            assert _scan_lanes(spec, total, _lane_count(total)) == \
-                _scan_scalar(spec, total)
             assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)
         spec = planted_candidate((3, -2, k * M), 17, 4, 1500)
-        candidates = _scan_scalar(spec, total)
-        assert 1500 in candidates
-        assert _scan_lanes(spec, total, _lane_count(total)) == candidates
+        assert 1500 in _scan_scalar(spec, total)
+        assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)
 
-    def test_lamport_test_flags_exactly_the_steps_with_a_zero_field(self, rng):
+    def test_confirmation_decides_when_every_term_is_a_candidate(self):
+        # a_n = M (2^n + 3^n - 5^n): every term is 0 mod M, only a_1 is 0
         M = SCAN_MODULUS
-        edges = [0, 1, 2, (1 << 60) - 1, 1 << 60, (1 << 60) + 1, M - 2, M - 1]
-        for _ in range(400):
-            lanes = rng.randint(1, 12)
-            fields = [rng.choice(edges) if rng.random() < 0.5 else rng.randrange(M)
-                      for _ in range(lanes)]
-            flagged = _has_zero_field(_pack(fields), _pack([1] * lanes),
-                                      _pack([1 << 60] * lanes))
-            assert flagged == (0 in fields), fields
+        spec = RecurrenceSpec(10, -31, 30, M, 0, -12 * M)
+        limit = 3 * SIEVE_CROSSOVER
+        assert _sieve(spec, limit + 1) is None
+        assert _scan_scalar(spec, limit + 1) == list(range(limit + 1))
+        assert _enumerate_zeros(spec, limit) == (1,) == exact_zeros(spec, limit)
 
 
 # the primes p = 3 mod 4 are inert in Q(i), so for roots there the period
@@ -740,7 +750,7 @@ INERT_D = -1
 
 
 class TestSieve:
-    """The small-prime period sieve in front of the lane scan."""
+    """The small-prime period sieve in front of the scalar scan."""
 
     @pytest.mark.parametrize("spec", [
         FLAGSHIP,
@@ -778,7 +788,7 @@ class TestSieve:
     @given(
         roots=st.lists(st.sampled_from([r for r in range(-9, 10) if r]), min_size=3,
                        max_size=3, unique=True),
-        total=st.integers(LANE_CROSSOVER, 5000),
+        total=st.integers(SIEVE_CROSSOVER, 5000),
         where=st.floats(0, 1),
     )
     def test_planted_rational_zeros(self, roots, total, where):
@@ -794,7 +804,7 @@ class TestSieve:
         u=st.integers(-6, 6),
         v=st.integers(1, 6),
         d=st.sampled_from([-1, -2, -3, -7, -11]),
-        total=st.integers(LANE_CROSSOVER, 5000),
+        total=st.integers(SIEVE_CROSSOVER, 5000),
         where=st.floats(0, 1),
     )
     def test_planted_quadratic_zeros(self, s, u, v, d, total, where):
@@ -809,7 +819,7 @@ class TestSieve:
         c=st.tuples(st.integers(-50, 50), st.integers(-50, 50),
                     st.integers(-50, 50).filter(bool)),
         a=st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
-        total=st.integers(LANE_CROSSOVER, 5000),
+        total=st.integers(SIEVE_CROSSOVER, 5000),
         where=st.floats(0, 1),
     )
     def test_planted_false_candidates(self, c, a, total, where):
@@ -826,7 +836,7 @@ class TestSieve:
     @pytest.mark.parametrize("block", [64, 97])
     def test_zeros_at_block_edges(self, monkeypatch, block):
         monkeypatch.setattr(sml, "SIEVE_BLOCK", block)
-        total = LANE_CROSSOVER + 3 * block + 5
+        total = SIEVE_CROSSOVER + 3 * block + 5
         ends = [k * block + e for k in (0, 1, 5, total // block)
                 for e in (-1, 0, 1) if 0 <= k * block + e < total]
         for N in ends + [total - 1]:
@@ -844,22 +854,22 @@ class TestSieve:
         assert len(survivors) <= SIEVE_SURVIVORS
         assert _enumerate_zeros(spec, 10**4) == (0,)
 
-    def test_falls_back_to_the_lane_scan_when_no_prime_narrows(self, monkeypatch):
+    def test_falls_back_to_the_scalar_scan_when_no_prime_narrows(self, monkeypatch):
         # every a_n is a multiple of every sieve prime, so no prime narrows
-        # anything and the lane scan runs
+        # anything and the scalar scan runs
         P = math.prod(SIEVE_PRIMES)
         base = planted_zero((2, 3, 5), 1500)
         spec = RecurrenceSpec(base.c1, base.c2, base.c3, P * base.a0, P * base.a1,
                               P * base.a2)
-        total = 2 * LANE_CROSSOVER
+        total = 2 * SIEVE_CROSSOVER
         assert _sieve(spec, total) is None
-        lane_scans = []
+        scalar_scans = []
 
-        def counting_scan_lanes(spec, total, lanes):
-            lane_scans.append(total)
-            return _scan_lanes(spec, total, lanes)
+        def counting_scan_scalar(spec, total):
+            scalar_scans.append(total)
+            return _scan_scalar(spec, total)
 
-        monkeypatch.setattr(sml, "_scan_lanes", counting_scan_lanes)
+        monkeypatch.setattr(sml, "_scan_scalar", counting_scan_scalar)
         assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)
         assert 1500 in exact_zeros(spec, total - 1)
-        assert lane_scans == [total]
+        assert scalar_scans == [total]

@@ -176,7 +176,7 @@ work = len(specs)
     "sml.enumerate_zeros.fallback_s": (
         "_enumerate_zeros at 10^5 on a spec whose terms are all multiples of "
         "the odd primes below 200, so no prime of the sieve narrows anything "
-        "and the lane scan runs after it",
+        "and the scalar scan runs after it",
         """
 from math import prod
 from abckit import RecurrenceSpec
