@@ -379,9 +379,17 @@ def primes_upto(n: int) -> list[int]:
 
 def first_primes(k: int) -> list[int]:
     """The first k rational primes; the sieve bound covers p_k, since
-    p_k < k (log k + log log k) <= 2k log k for k >= 6 (Rosser-Schoenfeld)."""
+    p_k < k (log k + log log k) <= 2k log k for k >= 6 (Rosser-Schoenfeld).
+    Raises BadParameter when that bound passes the float range."""
     k = as_int(k, "k", 1)
-    return primes_upto(13 if k <= 6 else int(2 * k * log(k)) + 10)[:k]
+    if k <= 6:
+        return primes_upto(13)[:k]
+    try:
+        bound = int(2 * k * log(k)) + 10
+    except OverflowError:
+        raise BadParameter("k is too large: the sieve bound 2k log k passes the "
+                           "float range") from None
+    return primes_upto(bound)[:k]
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -409,6 +409,9 @@ def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
     degree = as_int(degree, "degree", 1)
     e_p = as_int(e_p, "e_p", 1)
     norm_p = as_int(norm_p, "norm_p", 2)
+    B = as_real(B, "B")
+    # float: mpmath takes neither a Fraction nor a numpy integer
+    heights = [float(as_real(h, f"heights[{i}]")) for i, h in enumerate(heights)]
     if B < 3:
         raise BadParameter("B must be at least 3 (it is a max with 3)")
     if len(heights) != n_terms:
@@ -471,6 +474,8 @@ def gyory_sunit_bound(h_alpha: float, h_beta: float, t: int = 0, P: float = 1.0,
     log* means max(log x, 1).
     """
     _check_constants(C13=C13, C14=C14)
+    h_alpha, h_beta = as_real(h_alpha, "h_alpha"), as_real(h_beta, "h_beta")
+    P, R, R_S = as_real(P, "P"), as_real(R, "R"), as_real(R_S, "R_S")
     t = as_int(t, "t", 0)
     class_number = as_int(class_number, "class_number", 1)
     height_factor = max(h_alpha, h_beta, 1.0)
@@ -511,6 +516,8 @@ def lefourn_sunit_bound(h_alpha: float, h_beta: float, degree: int, t: int,
     are the reference constants, supplied by the caller.
     """
     _check_constants(C118=C118, C119=C119)
+    h_alpha, h_beta = as_real(h_alpha, "h_alpha"), as_real(h_beta, "h_beta")
+    R_S, P3 = as_real(R_S, "R_S"), as_real(P3, "P3")
     degree = as_int(degree, "degree", 1)
     t = as_int(t, "t", 0)
     if R_S <= 0:

@@ -8,13 +8,14 @@ last possible zero from G -> a modular scan of the
 sequence up to that bound, in which every candidate zero is confirmed in
 exact integer arithmetic before it is reported.
 
-The scan runs in one process.  Below a thousand or so terms it steps the
-sequence modulo the prime 2^61 - 1.  Past that, a sieve first keeps only the
-indices at which the sequence vanishes modulo each of a few small primes, as
-in the modular step of Skolem's method: mod p the sequence is periodic, so
-its zero residues, tiled as a bitmask, rule out every other index.  If no
-prime narrows the indices enough, the scan steps the sequence modulo 2^61 - 1
-there too.
+The scan runs in one process.  Up to 256 terms it steps the sequence modulo
+the prime 2^61 - 1.  Past that, a sieve first keeps only the indices at which
+the sequence vanishes modulo each of a few small primes, as in the modular
+step of Skolem's method: mod p the sequence is periodic, so its zero
+residues, tiled as a bitmask, rule out every other index.  If no prime
+narrows the indices enough, the scan steps the sequence modulo 2^61 - 1
+there too.  The few indices that survive are reached by binary jumps, with
+one table of powers of the companion matrix for the whole scan.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ HARD_ENUMERATION_LIMIT = 10**9
 DEFAULT_CAP = 10**6
 SCAN_MODULUS = (1 << 61) - 1  # a Mersenne prime: a_n = 0 implies a_n = 0 mod it
 CHECK_MODULUS = (1 << 127) - 1  # a second Mersenne prime, to recheck candidates
-SIEVE_CROSSOVER = 1024  # scans of fewer terms run one term at a time, unsieved
 SIEVE_PRIMES = tuple(primes_upto(199)[1:])  # the odd primes below 200
 SIEVE_PERIOD_CAP = 256  # a prime whose period mod it is longer is skipped
-SIEVE_BUDGET = 4096  # steps mod small primes, in all, before the sieve gives up
+SIEVE_BUDGET = 4096  # at most this many steps mod small primes, in all
 SIEVE_SURVIVORS = 4  # a block takes no more primes once this few indices survive
 SIEVE_BLOCK = 1 << 16  # indices sieved at a time
 
@@ -352,37 +352,44 @@ def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> fl
     return float(MP.mpf(G) ** (MP.mpf(1) / 3 + term) / h_max)
 
 
-def _companion_power(spec: RecurrenceSpec, n: int, modulus: int | None = None):
-    """M^n for the companion matrix M of the recurrence: exact, or reduced mod
-    `modulus` after every product."""
-    def reduce(x: int) -> int:
-        return x if modulus is None else x % modulus
-
-    def mat_mul(A, B):
-        return tuple(
-            tuple(reduce(sum(A[i][k] * B[k][j] for k in range(3))) for j in range(3))
-            for i in range(3)
-        )
-
-    M = ((0, 1, 0), (0, 0, 1), (spec.c3, spec.c2, spec.c1))
-    P = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    while n:
-        if n & 1:
-            P = mat_mul(P, M)
-        M = mat_mul(M, M)
-        n >>= 1
-    return P
+def _square(A: tuple[int, ...], modulus: int | None) -> tuple[int, ...]:
+    """A^2 for a 3x3 matrix A in row order, reduced mod `modulus` unless it
+    is None."""
+    a, b, c, d, e, f, g, h, i = A
+    S = (a * a + b * d + c * g, a * b + b * e + c * h, a * c + b * f + c * i,
+         d * a + e * d + f * g, d * b + e * e + f * h, d * c + e * f + f * i,
+         g * a + h * d + i * g, g * b + h * e + i * h, g * c + h * f + i * i)
+    return S if modulus is None else tuple(x % modulus for x in S)
 
 
 def _state_at(spec: RecurrenceSpec, n: int, modulus: int | None = None,
-              state: tuple[int, int, int] | None = None) -> tuple[int, int, int]:
-    """(a_n, a_{n+1}, a_{n+2}) by companion-matrix power: exact, or reduced
-    mod `modulus` after every product.  Given the state (a_m, a_{m+1}, a_{m+2})
-    instead of the initial values, it returns the state at m + n."""
-    v = state if state is not None else (spec.a0, spec.a1, spec.a2)
-    P = _companion_power(spec, n, modulus)
-    w = tuple(sum(P[i][k] * v[k] for k in range(3)) for i in range(3))
-    return w if modulus is None else tuple(x % modulus for x in w)
+              state: tuple[int, int, int] | None = None,
+              powers: list[tuple[int, ...]] | None = None) -> tuple[int, int, int]:
+    """(a_n, a_{n+1}, a_{n+2}) by binary jumping: exact, or reduced mod
+    `modulus` after every product.  Given the state (a_m, a_{m+1}, a_{m+2})
+    instead of the initial values, it returns the state at m + n.
+
+    powers[k] is M^(2^k) for the companion matrix M of the recurrence, and
+    the state is multiplied by powers[k] for each set bit k of n.  The list
+    is extended in place only as far as n needs, so a caller that passes
+    one list to every jump with one modulus squares M once per bit in all
+    (Fiduccia's method for linear recurrences).
+    """
+    if powers is None:
+        powers = []
+    if not powers:
+        M = (0, 1, 0, 0, 0, 1, spec.c3, spec.c2, spec.c1)
+        powers.append(M if modulus is None else tuple(x % modulus for x in M))
+    while len(powers) < n.bit_length():
+        powers.append(_square(powers[-1], modulus))
+    x, y, z = state if state is not None else (spec.a0, spec.a1, spec.a2)
+    for k in range(n.bit_length()):
+        if n >> k & 1:
+            a, b, c, d, e, f, g, h, i = powers[k]
+            x, y, z = a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z
+            if modulus is not None:
+                x, y, z = x % modulus, y % modulus, z % modulus
+    return (x, y, z) if modulus is None else (x % modulus, y % modulus, z % modulus)
 
 
 def _scan_scalar(spec: RecurrenceSpec, total: int) -> list[int]:
@@ -397,10 +404,11 @@ def _scan_scalar(spec: RecurrenceSpec, total: int) -> list[int]:
     return candidates
 
 
-def _period_mod(spec: RecurrenceSpec, p: int) -> tuple[int, int] | None:
+def _period_mod(spec: RecurrenceSpec, p: int,
+                steps: int = SIEVE_PERIOD_CAP) -> tuple[int, int] | None:
     """(T, Z) for a prime p that does not divide c3: T is the period of the
     sequence mod p and bit z of Z, for z < T, is set iff a_z = 0 mod p.  None
-    when T exceeds SIEVE_PERIOD_CAP.
+    when T exceeds `steps`, after that many steps.
 
     With c3 a unit mod p the companion matrix is invertible mod p, so the
     states (a_n, a_{n+1}, a_{n+2}) mod p run through a pure cycle.  T is the
@@ -410,7 +418,7 @@ def _period_mod(spec: RecurrenceSpec, p: int) -> tuple[int, int] | None:
     c1, c2, c3 = spec.c1 % p, spec.c2 % p, spec.c3 % p
     s0, s1, s2 = w0, w1, w2 = spec.a0 % p, spec.a1 % p, spec.a2 % p
     zeros = 0
-    for t in range(SIEVE_PERIOD_CAP):
+    for t in range(steps):
         if not w0:
             zeros |= 1 << t
         w0, w1, w2 = w1, w2, (c1 * w2 + c2 * w1 + c3 * w0) % p
@@ -419,21 +427,22 @@ def _period_mod(spec: RecurrenceSpec, p: int) -> tuple[int, int] | None:
     return None
 
 
-def _sieve_patterns(spec: RecurrenceSpec, width: int):
+def _sieve_patterns(spec: RecurrenceSpec, width: int, budget: int):
     """(T, mask) for each prime of SIEVE_PRIMES in turn that does not divide
     c3, whose period is at most SIEVE_PERIOD_CAP and which leaves out some
-    residue, until SIEVE_BUDGET steps have been spent: bit i of mask, for
-    i < width + T, is set iff a_i = 0 mod p, so mask >> (s mod T) covers the
-    indices s to s + width - 1."""
+    residue, with at most `budget` steps spent on the periods in all: bit i
+    of mask, for i < width + T, is set iff a_i = 0 mod p, so mask >> (s mod T)
+    covers the indices s to s + width - 1."""
     spent = 0
     for p in SIEVE_PRIMES:
-        if spent >= SIEVE_BUDGET:
+        if spent >= budget:
             return
         if spec.c3 % p == 0:
             continue
-        period = _period_mod(spec, p)
+        steps = min(SIEVE_PERIOD_CAP, budget - spent)
+        period = _period_mod(spec, p, steps)
         if period is None:
-            spent += SIEVE_PERIOD_CAP
+            spent += steps
             continue
         T, mask = period
         spent += T
@@ -448,8 +457,10 @@ def _sieve_patterns(spec: RecurrenceSpec, width: int):
 
 def _sieve(spec: RecurrenceSpec, total: int) -> list[int] | None:
     """The n < total with a_n = 0 mod every small prime taken for n's block,
-    or None when SIEVE_PRIMES and SIEVE_BUDGET run out before some block is
-    down to SIEVE_SURVIVORS indices.
+    or None when SIEVE_PRIMES run out, or min(SIEVE_BUDGET, total) steps
+    have gone into their periods, before some block is down to
+    SIEVE_SURVIVORS indices.  So a sequence that defeats the sieve pays at
+    most twice the steps of the scalar scan.
 
     The indices run in blocks of SIEVE_BLOCK, one Python-int bitmask each.
     A block takes every prime an earlier block took, and further primes only
@@ -457,7 +468,7 @@ def _sieve(spec: RecurrenceSpec, total: int) -> list[int] | None:
     dropped, because a_n = 0 implies a_n = 0 mod p.
     """
     width = min(total, SIEVE_BLOCK)
-    patterns = _sieve_patterns(spec, width)
+    patterns = _sieve_patterns(spec, width, min(SIEVE_BUDGET, total))
     taken = []
     survivors = []
     for start in range(0, total, width):
@@ -481,15 +492,18 @@ def _sieve(spec: RecurrenceSpec, total: int) -> list[int] | None:
 def _enumerate_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
     """All n in [0, limit] with a_n = 0.
 
-    Below SIEVE_CROSSOVER terms the sequence is scanned one term at a time
-    modulo SCAN_MODULUS.  From there on _sieve keeps only the indices at
+    Up to SIEVE_PERIOD_CAP terms the sequence is scanned one term at a
+    time modulo SCAN_MODULUS, since one period search of the sieve may
+    cost that many steps.  Past that _sieve keeps only the indices at
     which a_n vanishes modulo a few small primes, and only if it gives up
     is the whole sequence scanned one term at a time after all.  Every zero
     is a candidate, because a_n = 0 implies a_n = 0 modulo any prime, and
     passes a recheck mod CHECK_MODULUS for the same reason; a candidate that
     passes is kept only if a_n = 0 exactly.  The exact state moves only from
     one passing candidate to the next: a false one costs a modular jump, and
-    no sequence costs more than an exact scan.
+    no sequence costs more than an exact scan.  The jumps of each kind share
+    one table of M^(2^k), built as far as the longest jump needs, so a
+    false survivor costs a few products of a matrix and a vector.
 
     Best-of-n times on a 2-vCPU Intel Xeon, Python 3.11.7, of the scan one
     term at a time for A = RecurrenceSpec(10, -31, 30, 10^6 + 3, 112, 452),
@@ -498,30 +512,30 @@ def _enumerate_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
     whose one zero is a_0 and whose false survivors each cost a recheck:
 
         terms   one at a time   sieve, A   sieve, B (survivors)
-        1,024         0.40 ms   0.011 ms   0.47 ms (3)
-       10,000          5.1 ms   0.017 ms   0.93 ms (3)
-      100,000           51 ms   0.053 ms    1.1 ms (4)
-    1,000,000          530 ms    0.22 ms     21 ms (37)
-       10^7                       1.7 ms    199 ms (361)
+          600         0.26 ms   0.010 ms   0.064 ms (1)
+       10,000          3.1 ms   0.010 ms    0.14 ms (3)
+      100,000           32 ms   0.031 ms    0.34 ms (4)
+    1,000,000          370 ms    0.18 ms     2.0 ms (37)
+       10^7                       1.4 ms     16 ms (361)
 
     Over the 120 capped specs of the recurrence_batch catalogue at 10^4
-    the call takes 0.039 ms in the median.  A spec that no prime narrows
-    pays the sieve's steps, about 0.06 ms, on top of the scan one term at
-    a time.
+    the call takes 0.036 ms in the median and 0.42 ms at most.  A spec
+    that no prime narrows pays the sieve's steps, at most as many as the
+    scan one term at a time and about 0.07 ms at 600 terms, on top of it.
     """
     total = limit + 1
-    candidates = _sieve(spec, total) if total >= SIEVE_CROSSOVER else None
+    candidates = _sieve(spec, total) if total > SIEVE_PERIOD_CAP else None
     if candidates is None:
         candidates = _scan_scalar(spec, total)
     zeros = []
-    at, state = 0, (spec.a0, spec.a1, spec.a2)
-    checked_at, checked = 0, tuple(a % CHECK_MODULUS for a in state)
+    at, state, exact_powers = 0, (spec.a0, spec.a1, spec.a2), []
+    checked_at, checked, check_powers = 0, tuple(a % CHECK_MODULUS for a in state), []
     for n in candidates:
-        checked = _state_at(spec, n - checked_at, CHECK_MODULUS, checked)
+        checked = _state_at(spec, n - checked_at, CHECK_MODULUS, checked, check_powers)
         checked_at = n
         if checked[0]:
             continue
-        state = _state_at(spec, n - at, state=state)
+        state = _state_at(spec, n - at, None, state, exact_powers)
         at = n
         if state[0] == 0:
             zeros.append(n)
@@ -543,7 +557,6 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
     except (RepeatedRoots, UnsupportedField) as exc:
         return SmlVerdict(status="Unsupported", C=config.C_main, reason=str(exc))
 
-    h_max = max(weil_height(r) for r in roots)
     if degeneracy_check(roots):
         return SmlVerdict(
             status="Degenerate", C=config.C_main,
@@ -564,6 +577,9 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
     cleared = tuple(k.num * (denominator_lcm // k.den) for k in ks)
     certificate = strip_common_primes(cleared, roots)[1]
     G = certificate.G
+    # the height of an algebraic integer r is log |N(r)|, so the largest of
+    # the three is the height of the root of largest |N(r)|
+    h_max = weil_height(max(roots, key=lambda r: abs(r.norm())))
     bound = zero_bound(G, h_max, config)
     truncated = False
     reason = ""

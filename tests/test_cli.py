@@ -208,6 +208,11 @@ class TestCommands:
         code, out, _ = run(capsys, ["landau", "--field", "Q", "--R", "1"])
         assert code == 0 and out.strip() == "0.34657359028"
 
+    def test_landau_R_past_the_float_range(self, capsys):
+        code, out, err = run(capsys, ["landau", "--field", "Q", "--R", str(10**400)])
+        assert code == 1 and out == ""
+        assert err.startswith("input error: k is too large") and "Traceback" not in err
+
     def test_xyz_search_prime_far_above_limit(self, capsys, tmp_path):
         out_path = os.fspath(tmp_path / "triples.csv")
         code, out, _ = run(capsys, ["xyz", "search", "--P", "100000000003", "--limit", "10",
@@ -489,6 +494,8 @@ def _argv(draw, out_path: str) -> list[str]:
                 f"--norm-p={draw(_mostly(st.integers(2, 10**4)))}",
                 f"--heights={','.join(heights)}", f"--B={draw(_floats(3, 1e6))}"]
     if command == "landau":
+        if draw(st.integers(0, 9)) == 0:  # first_primes's sieve bound past the float range
+            return [command, "--field", "Q", f"--R={draw(st.integers(10**307, 10**400))}"]
         R = draw(_mostly(st.integers(1, 50), st.integers(-10**6, 0)))
         return [command, "--field", draw(FIELDS), f"--R={R}"]
     if command == "tidy":

@@ -122,6 +122,22 @@ def test_as_int():
 REAL_GATED = [
     ("tidy_bound.x", tidy_bound, "x", 3),
     ("zero_bound.h_max", lambda v: zero_bound(30030, v), "h_max", 2),
+    ("yu_ord_bound.B", lambda v: yu_ord_bound(1, 1, 1, 2, [1.0], v), "B", 3),
+    ("yu_ord_bound.heights", lambda v: yu_ord_bound(2, 1, 1, 2, [1.0, v], 3), "heights[1]", 2),
+    ("gyory_sunit_bound.h_alpha", lambda v: gyory_sunit_bound(v, 3.0, t=1, P=7.0), "h_alpha", 2),
+    ("gyory_sunit_bound.h_beta", lambda v: gyory_sunit_bound(2.0, v, t=1, P=7.0), "h_beta", 3),
+    ("gyory_sunit_bound.P", lambda v: gyory_sunit_bound(2.0, 3.0, t=1, P=v), "P", 7),
+    ("gyory_sunit_bound.R", lambda v: gyory_sunit_bound(2.0, 3.0, t=1, P=7.0, R=v), "R", 2),
+    ("gyory_sunit_bound.R_S",
+     lambda v: gyory_sunit_bound(2.0, 3.0, t=1, P=7.0, R_S=v), "R_S", 3),
+    ("lefourn_sunit_bound.h_alpha",
+     lambda v: lefourn_sunit_bound(v, 2.0, degree=2, t=3, P3=5.0), "h_alpha", 4),
+    ("lefourn_sunit_bound.h_beta",
+     lambda v: lefourn_sunit_bound(1.0, v, degree=2, t=3, P3=5.0), "h_beta", 2),
+    ("lefourn_sunit_bound.R_S",
+     lambda v: lefourn_sunit_bound(1.0, 2.0, degree=2, t=3, R_S=v, P3=5.0), "R_S", 3),
+    ("lefourn_sunit_bound.P3",
+     lambda v: lefourn_sunit_bound(1.0, 2.0, degree=2, t=3, P3=v), "P3", 5),
 ]
 
 
@@ -129,8 +145,8 @@ REAL_GATED = [
                          ids=[case[0] for case in REAL_GATED])
 def test_real_gate(call, name, good):
     for bad in (str(good), None, complex(good), math.nan):
-        with pytest.raises(BadParameter,
-                           match=f"^{name} must be a real number, got {re.escape(repr(bad))}$"):
+        with pytest.raises(BadParameter, match=f"^{re.escape(name)} must be a real number, "
+                                               f"got {re.escape(repr(bad))}$"):
             call(bad)
     for same in (float(good), np.float64(good), np.int64(good), Fraction(good)):
         assert call(same) == call(good)
@@ -142,3 +158,14 @@ def test_as_real():
     for bad in ("1", None, 1j, float("nan"), np.float64("nan")):
         with pytest.raises(BadParameter, match=r"^x must be a real number, got "):
             as_real(bad, "x")
+
+
+def test_first_primes_past_the_float_range():
+    # 2k log k, the sieve bound, passes the float range: BadParameter, not
+    # OverflowError, from first_primes and every caller of it
+    calls = [first_primes, rosser_violations, primorial_chain_violations,
+             lambda v: landau_min_constant(RATIONALS, v)]
+    for k in (10**307, 10**400):
+        for call in calls:
+            with pytest.raises(BadParameter, match="^k is too large"):
+                call(k)

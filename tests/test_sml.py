@@ -20,6 +20,7 @@ from abckit import (
     zero_bound,
 )
 from abckit.bounds import BoundConfig
+from abckit.heights import weil_height
 from abckit.errors import (
     BadParameter,
     BadRadical,
@@ -34,7 +35,7 @@ from abckit.arith import factor_element, primes_upto
 from abckit.sml import (
     CHECK_MODULUS,
     SCAN_MODULUS,
-    SIEVE_CROSSOVER,
+    SIEVE_BUDGET,
     SIEVE_PERIOD_CAP,
     SIEVE_PRIMES,
     SIEVE_SURVIVORS,
@@ -436,6 +437,31 @@ class TestDecideZeros:
         assert verdict.G == 9  # the split primes over 3 each have norm 3
         assert verdict.h_max == pytest.approx(math.log(3), rel=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        s=st.integers(-30, 30).filter(bool),
+        u=st.integers(-30, 30),
+        v=st.integers(-30, 30),
+        d=st.sampled_from([1, -1, -2, -3, -7, -11, -19, -43, -67, -163]),
+        a=st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)),
+    )
+    def test_h_max_is_the_largest_root_height(self, s, u, v, d, a):
+        # roots s and u +- v sqrt(d): rational for d = 1, else in Q(sqrt d).
+        # decide_zeros takes the height of the root of largest |norm| alone;
+        # it must equal, bit for bit, the largest of the three heights
+        norm = u * u - d * v * v
+        if norm == 0:
+            return
+        spec = RecurrenceSpec(s + 2 * u, -(2 * u * s + norm), s * norm, *a)
+        try:
+            verdict = decide_zeros(spec, cap=0)
+        except RootsNotCoprime:
+            return
+        if verdict.h_max is None:
+            return
+        roots, _ = find_roots(char_poly(spec))
+        assert verdict.h_max == max(weil_height(r) for r in roots)
+
     def test_zero_in_quadratic_field(self):
         # coefficients (2, -2+2w, -2w) over Q(sqrt(-11)) give a_0 = 0
         roots, field = find_roots((1, -2, 4, -3))
@@ -548,11 +574,65 @@ class TestClosedFormMatchesRecurrence:
         assert checked >= 20
 
 
+def stepped_state(spec: RecurrenceSpec, state: tuple[int, int, int], n: int,
+                  modulus: int | None) -> tuple[int, int, int]:
+    """The state n terms on from `state`, one term at a time."""
+    w0, w1, w2 = state
+    for _ in range(n):
+        w0, w1, w2 = w1, w2, spec.c1 * w2 + spec.c2 * w1 + spec.c3 * w0
+        if modulus is not None:
+            w0, w1, w2 = w0 % modulus, w1 % modulus, w2 % modulus
+    return (w0, w1, w2) if modulus is None else (w0 % modulus, w1 % modulus, w2 % modulus)
+
+
+# 0, 1, and 2^k - 1, 2^k, 2^k + 1: the gaps where the bits of n change most
+JUMP_GAPS = [0, 1] + [g for k in (1, 2, 3, 5, 8, 10) for g in (2**k - 1, 2**k, 2**k + 1)]
+
+
 class TestStateJump:
     def test_matrix_power_matches_iteration(self):
         values = recurrence_values(FLAGSHIP, 40)
         for n in (0, 1, 2, 5, 17, 37):
             assert _state_at(FLAGSHIP, n) == tuple(values[n:n + 3])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+                    st.integers(-10**6, 10**6).filter(bool)),
+        a=st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9),
+                    st.integers(-10**9, 10**9)),
+        modulus=st.sampled_from([CHECK_MODULUS, SCAN_MODULUS, None]),
+    )
+    def test_jumps_match_stepping(self, c, a, modulus):
+        # one table of powers shared by every jump, as _enumerate_zeros does;
+        # a jump from a state continues from there
+        spec = RecurrenceSpec(*c, *a)
+        start = a if modulus is None else tuple(x % modulus for x in a)
+        powers = []
+        for gap in JUMP_GAPS:
+            expected = stepped_state(spec, start, gap, modulus)
+            assert _state_at(spec, gap, modulus, start, powers) == expected
+            assert len(powers) == max(1, gap.bit_length())  # JUMP_GAPS ascend
+            assert _state_at(spec, gap, modulus) == expected  # a table of its own
+        state = start
+        for gap in (3, 1, 6, 0):
+            state = _state_at(spec, gap, modulus, state, powers)
+        assert state == stepped_state(spec, start, 10, modulus)
+
+    @pytest.mark.parametrize("modulus", [CHECK_MODULUS, SCAN_MODULUS, None])
+    def test_one_jump_extends_the_table_twice(self, modulus):
+        spec = RecurrenceSpec(-3, 17, -77, 0, 8, 1528)
+        start = (spec.a0, spec.a1, spec.a2)
+        powers = []
+        _state_at(spec, 3, modulus, powers=powers)
+        assert len(powers) == 2
+        assert _state_at(spec, 13, modulus, powers=powers) == \
+            stepped_state(spec, start, 13, modulus)
+        assert len(powers) == 4
+        # powers[k] is M^(2^k), whose column j is the j-th unit state 2^k terms on
+        for k, P in enumerate(powers):
+            for j, unit in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+                assert P[j::3] == stepped_state(spec, unit, 2**k, modulus)
 
 
 def exact_zeros(spec: RecurrenceSpec, limit: int) -> tuple[int, ...]:
@@ -642,10 +722,10 @@ class TestModularScan:
         assert 999_995 in _sieve(spec, 10**6 + 1)
         exact_jumps = []
 
-        def counting_state_at(spec, n, modulus=None, state=None):
+        def counting_state_at(spec, n, modulus=None, state=None, powers=None):
             if modulus is None:
                 exact_jumps.append(n)
-            return _state_at(spec, n, modulus, state)
+            return _state_at(spec, n, modulus, state, powers)
 
         monkeypatch.setattr(sml, "_state_at", counting_state_at)
         assert _enumerate_zeros(spec, 10**6) == ()
@@ -653,8 +733,9 @@ class TestModularScan:
 
 
 class TestScalarFallback:
-    """_enumerate_zeros past SIEVE_CROSSOVER when the sieve gives up, as it
-    does here with no primes to take, and the scalar scan runs instead."""
+    """_enumerate_zeros past SIEVE_PERIOD_CAP terms when the sieve gives up,
+    as it does here with no primes to take, and the scalar scan runs
+    instead."""
 
     @pytest.fixture(autouse=True, scope="class")
     def no_sieve_primes(self):
@@ -666,7 +747,7 @@ class TestScalarFallback:
     @given(
         roots=st.lists(st.sampled_from([r for r in range(-9, 10) if r]), min_size=3,
                        max_size=3, unique=True),
-        total=st.integers(SIEVE_CROSSOVER, 5000),
+        total=st.integers(SIEVE_PERIOD_CAP + 1, 5000),
         where=st.floats(0, 1),
     )
     def test_planted_rational_zeros(self, roots, total, where):
@@ -683,7 +764,7 @@ class TestScalarFallback:
         u=st.integers(-6, 6),
         v=st.integers(1, 6),
         d=st.sampled_from([-1, -2, -3, -7, -11]),
-        total=st.integers(SIEVE_CROSSOVER, 5000),
+        total=st.integers(SIEVE_PERIOD_CAP + 1, 5000),
         where=st.floats(0, 1),
     )
     def test_planted_quadratic_zeros(self, s, u, v, d, total, where):
@@ -699,7 +780,7 @@ class TestScalarFallback:
         c=st.tuples(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12),
                     st.integers(-10**12, 10**12).filter(bool)),
         a=st.tuples(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12)),
-        total=st.integers(SIEVE_CROSSOVER, 5000),
+        total=st.integers(SIEVE_PERIOD_CAP + 1, 5000),
         where=st.floats(0, 1),
         M=st.sampled_from([SCAN_MODULUS, SCAN_MODULUS * CHECK_MODULUS]),
     )
@@ -713,8 +794,8 @@ class TestScalarFallback:
         assert N in _scan_scalar(spec, total)
         assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)
 
-    @pytest.mark.parametrize("total", [SIEVE_CROSSOVER - 1, SIEVE_CROSSOVER,
-                                       SIEVE_CROSSOVER + 1, 5001])
+    @pytest.mark.parametrize("total", [SIEVE_PERIOD_CAP - 1, SIEVE_PERIOD_CAP,
+                                       SIEVE_PERIOD_CAP + 1, 5001])
     def test_zeros_at_the_ends_of_the_scan(self, total):
         for N in (0, 1, total // 2, total - 2, total - 1):
             for roots in ((2, 3, 5), (-7, 11, 13)):
@@ -726,7 +807,7 @@ class TestScalarFallback:
     def test_c3_a_multiple_of_the_modulus(self, k):
         # c3 = 0 mod M: the scan sees an order-2 recurrence, the exact check does not
         M = SCAN_MODULUS
-        total = 2 * SIEVE_CROSSOVER + 7
+        total = 2055
         for a in ((0, 1, 3), (5, 0, 0), (1, 2, 3)):
             spec = RecurrenceSpec(3, -2, k * M, *a)
             assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)
@@ -738,7 +819,7 @@ class TestScalarFallback:
         # a_n = M (2^n + 3^n - 5^n): every term is 0 mod M, only a_1 is 0
         M = SCAN_MODULUS
         spec = RecurrenceSpec(10, -31, 30, M, 0, -12 * M)
-        limit = 3 * SIEVE_CROSSOVER
+        limit = 3072
         assert _sieve(spec, limit + 1) is None
         assert _scan_scalar(spec, limit + 1) == list(range(limit + 1))
         assert _enumerate_zeros(spec, limit) == (1,) == exact_zeros(spec, limit)
@@ -788,7 +869,7 @@ class TestSieve:
     @given(
         roots=st.lists(st.sampled_from([r for r in range(-9, 10) if r]), min_size=3,
                        max_size=3, unique=True),
-        total=st.integers(SIEVE_CROSSOVER, 5000),
+        total=st.integers(SIEVE_PERIOD_CAP + 1, 5000),
         where=st.floats(0, 1),
     )
     def test_planted_rational_zeros(self, roots, total, where):
@@ -804,7 +885,7 @@ class TestSieve:
         u=st.integers(-6, 6),
         v=st.integers(1, 6),
         d=st.sampled_from([-1, -2, -3, -7, -11]),
-        total=st.integers(SIEVE_CROSSOVER, 5000),
+        total=st.integers(SIEVE_PERIOD_CAP + 1, 5000),
         where=st.floats(0, 1),
     )
     def test_planted_quadratic_zeros(self, s, u, v, d, total, where):
@@ -819,7 +900,7 @@ class TestSieve:
         c=st.tuples(st.integers(-50, 50), st.integers(-50, 50),
                     st.integers(-50, 50).filter(bool)),
         a=st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
-        total=st.integers(SIEVE_CROSSOVER, 5000),
+        total=st.integers(SIEVE_PERIOD_CAP + 1, 5000),
         where=st.floats(0, 1),
     )
     def test_planted_false_candidates(self, c, a, total, where):
@@ -836,7 +917,7 @@ class TestSieve:
     @pytest.mark.parametrize("block", [64, 97])
     def test_zeros_at_block_edges(self, monkeypatch, block):
         monkeypatch.setattr(sml, "SIEVE_BLOCK", block)
-        total = SIEVE_CROSSOVER + 3 * block + 5
+        total = 3 * block + 1029
         ends = [k * block + e for k in (0, 1, 5, total // block)
                 for e in (-1, 0, 1) if 0 <= k * block + e < total]
         for N in ends + [total - 1]:
@@ -861,7 +942,7 @@ class TestSieve:
         base = planted_zero((2, 3, 5), 1500)
         spec = RecurrenceSpec(base.c1, base.c2, base.c3, P * base.a0, P * base.a1,
                               P * base.a2)
-        total = 2 * SIEVE_CROSSOVER
+        total = 2048
         assert _sieve(spec, total) is None
         scalar_scans = []
 
@@ -873,3 +954,27 @@ class TestSieve:
         assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)
         assert 1500 in exact_zeros(spec, total - 1)
         assert scalar_scans == [total]
+
+    @pytest.mark.parametrize("total", [300, 600])
+    def test_a_sieve_that_gives_up_spends_at_most_the_scan(self, monkeypatch, total):
+        # tribonacci times the primes where its period is at most
+        # SIEVE_PERIOD_CAP: mod those every term is 0, mod the others the
+        # period is too long, so no prime narrows anything.  The period
+        # searches may spend no more steps than the scalar scan that follows.
+        values = recurrence_values(RecurrenceSpec(1, 1, 1, 0, 0, 1), SIEVE_PERIOD_CAP + 3)
+        short = [p for p in SIEVE_PRIMES
+                 if any([v % p for v in values[t:t + 3]] == [0, 0, 1]
+                        for t in range(1, SIEVE_PERIOD_CAP + 1))]
+        assert len(SIEVE_PRIMES) - len(short) > SIEVE_BUDGET // SIEVE_PERIOD_CAP
+        spec = RecurrenceSpec(1, 1, 1, 0, 0, math.prod(short))
+        steps = []
+
+        def counting_period_mod(spec, p, most=SIEVE_PERIOD_CAP):
+            period = _period_mod(spec, p, most)
+            steps.append(most if period is None else period[0])
+            return period
+
+        monkeypatch.setattr(sml, "_period_mod", counting_period_mod)
+        assert _sieve(spec, total) is None
+        assert 0 < sum(steps) <= total
+        assert _enumerate_zeros(spec, total - 1) == exact_zeros(spec, total - 1)

@@ -189,6 +189,40 @@ assert _enumerate_zeros(spec, 10**5) == ()
 seconds = time.perf_counter() - t0
 work = 10**5 + 1
 """),
+    "sml.enumerate_zeros.fallback_600_s": (
+        "_enumerate_zeros on the fallback_s spec at 600 terms, where the sieve "
+        "spends up to 600 steps before the scalar scan: the worst case of "
+        "sieving a short scan",
+        """
+from math import prod
+from abckit import RecurrenceSpec
+from abckit.arith import primes_upto
+from abckit.sml import _enumerate_zeros
+P = prod(primes_upto(199)[1:])
+spec = RecurrenceSpec(10, -31, 30, 31 * P, 112 * P, 452 * P)
+t0 = time.perf_counter()
+for _ in range(100):
+    assert _enumerate_zeros(spec, 599) == ()
+seconds = time.perf_counter() - t0
+work = 100 * 600
+"""),
+    "sml.enumerate_zeros.decided_s": (
+        "_enumerate_zeros on each of the 210 decided specs of the "
+        "recurrence_batch catalogue at its recorded N (at most 995), the "
+        "scans behind that workload's p50",
+        """
+from abckit import RecurrenceSpec
+from abckit.sml import _enumerate_zeros
+from generators import load_reference
+decided = [(RecurrenceSpec(*item["spec"]), item["verdict"]["N"])
+           for item in load_reference("recurrence_batch")["catalogue"]
+           if "N" in item["verdict"] and not item["verdict"].get("truncated")]
+t0 = time.perf_counter()
+for spec, N in decided:
+    _enumerate_zeros(spec, N)
+seconds = time.perf_counter() - t0
+work = len(decided)
+"""),
     "sml.enumerate_zeros.capped_1e8_s": (
         "_enumerate_zeros at 10^8 on the catalogue's capped spec "
         "(-3, 17, -77, 0, 8, 1528) over Q(sqrt -7), whose one zero is a_0; "
