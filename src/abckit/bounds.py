@@ -395,6 +395,17 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
 # Explicit auxiliary bounds
 
 
+def _mp_real(value, name: str):
+    """`as_real(value, name)` as an mpf of MP, so that arithmetic on it has no
+    float range to leave: a rational (an int of any size, a numpy integer, a
+    Fraction) exactly as the quotient of its terms, any other real through
+    float, since mpmath takes neither a Fraction nor a numpy number."""
+    value = as_real(value, name)
+    if isinstance(value, numbers.Rational):
+        return MP.mpf(int(value.numerator)) / int(value.denominator)
+    return MP.mpf(float(value))
+
+
 def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
                  heights: list[float], B: float) -> float:
     """Explicit upper bound for the order at a prime ideal of a product of
@@ -409,14 +420,13 @@ def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
     degree = as_int(degree, "degree", 1)
     e_p = as_int(e_p, "e_p", 1)
     norm_p = as_int(norm_p, "norm_p", 2)
-    B = as_real(B, "B")
-    # float: mpmath takes neither a Fraction nor a numpy integer
-    heights = [float(as_real(h, f"heights[{i}]")) for i, h in enumerate(heights)]
+    B = _mp_real(B, "B")
+    heights = [_mp_real(h, f"heights[{i}]") for i, h in enumerate(heights)]
     if B < 3:
         raise BadParameter("B must be at least 3 (it is a max with 3)")
     if len(heights) != n_terms:
         raise BadParameter("need exactly one height per term")
-    if not all(math.isfinite(h) for h in (*heights, B)):
+    if not all(MP.isfinite(h) for h in (*heights, B)):
         raise BadParameter("heights and B must be finite")
     if any(h < 0 for h in heights):
         raise BadParameter("heights are nonnegative")
@@ -428,7 +438,7 @@ def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,
     out *= MP.mpf(e_p) ** n
     out *= norm_p / MP.log(norm_p) ** 2
     for h in heights:
-        out *= max(MP.mpf(h), floor_h)
+        out *= max(h, floor_h)
     out *= MP.log(B)
     return float(out)
 
@@ -474,30 +484,28 @@ def gyory_sunit_bound(h_alpha: float, h_beta: float, t: int = 0, P: float = 1.0,
     log* means max(log x, 1).
     """
     _check_constants(C13=C13, C14=C14)
-    h_alpha, h_beta = as_real(h_alpha, "h_alpha"), as_real(h_beta, "h_beta")
-    P, R, R_S = as_real(P, "P"), as_real(R, "R"), as_real(R_S, "R_S")
+    h_alpha, h_beta = _mp_real(h_alpha, "h_alpha"), _mp_real(h_beta, "h_beta")
+    P, R, R_S = _mp_real(P, "P"), _mp_real(R, "R"), _mp_real(R_S, "R_S")
     t = as_int(t, "t", 0)
     class_number = as_int(class_number, "class_number", 1)
-    height_factor = max(h_alpha, h_beta, 1.0)
+    height_factor = max(h_alpha, h_beta, 1)
     if t == 0:
-        return C13 * height_factor
+        return float(C13 * height_factor)
     if P < 1 or R <= 0 or R_S <= 0:
         raise BadParameter("P >= 1, R > 0 and R_S > 0 required")
 
-    def logstar(x: float) -> float:
-        return max(math.log(x), 1.0)
+    def logstar(x):
+        return max(MP.log(x), 1)
 
-    script_r = max(float(class_number), C13 * R)
-    try:
-        power = script_r ** (t + 1)
-    except OverflowError:  # past the float range: inf, as house returns
-        power = math.inf
-    return (
+    script_r = max(MP.mpf(class_number), C13 * R)
+    # in MP nothing overflows; float() turns a value past the float range
+    # into inf, as house does
+    return float(
         C14
         * class_number
         * R
         * logstar(R)
-        * power
+        * script_r ** (t + 1)
         * logstar(script_r)
         * (P / logstar(P))
         * R_S
@@ -516,20 +524,23 @@ def lefourn_sunit_bound(h_alpha: float, h_beta: float, degree: int, t: int,
     are the reference constants, supplied by the caller.
     """
     _check_constants(C118=C118, C119=C119)
-    h_alpha, h_beta = as_real(h_alpha, "h_alpha"), as_real(h_beta, "h_beta")
-    R_S, P3 = as_real(R_S, "R_S"), as_real(P3, "P3")
+    h_alpha, h_beta = _mp_real(h_alpha, "h_alpha"), _mp_real(h_beta, "h_beta")
+    R_S, P3 = _mp_real(R_S, "R_S"), _mp_real(P3, "P3")
     degree = as_int(degree, "degree", 1)
     t = as_int(t, "t", 0)
     if R_S <= 0:
         raise BadParameter("R_S must be positive")
-    height_factor = max(h_alpha, h_beta, 1.0, math.pi / degree)
-    log_plus = lambda x: max(math.log(x), 0.0)  # noqa: E731
+    height_factor = max(h_alpha, h_beta, 1, MP.pi / degree)
+
+    def log_plus(x):
+        return max(MP.log(x), 0)
+
     if t <= 2:
-        return C118 * R_S * log_plus(R_S) * height_factor
+        return float(C118 * R_S * log_plus(R_S) * height_factor)
     if P3 < 2:
         raise BadParameter("with three or more finite places P3 is a prime norm >= 2")
     ratio = 1 + log_plus(R_S) / log_plus(P3)
-    return C119 * P3 * R_S * ratio * height_factor
+    return float(C119 * P3 * R_S * ratio * height_factor)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ from dataclasses import dataclass, fields
 from math import ceil, floor, gcd, isinf, isqrt, lcm, prod
 
 from .arith import (
+    AbckitInternal,
     AlgebraicInt,
     QuadraticField,
     RATIONALS,
-    _entry_key,
     _factor_nat,
     as_int,
     as_real,
@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedField,
     ZeroInput,
 )
-from .heights import MP, weil_height
+from .heights import MP
 
 HARD_ENUMERATION_LIMIT = 10**9
 DEFAULT_CAP = 10**6
@@ -167,7 +167,8 @@ def find_roots(cubic: tuple[int, int, int, int]) -> tuple[tuple[AlgebraicInt, ..
     # divisions are exact because B^2 = m^2 * (-f0) (mod 4)
     t = field.t
     s = m // (2 - t)
-    assert s * (2 - t) == m and (B + s * t) % 2 == 0, (cubic, B, m, f0)
+    if s * (2 - t) != m or (B + s * t) % 2:
+        raise AbckitInternal(f"inexact root coordinates for {cubic}: B={B}, m={m}, f={f0}")
     root = AlgebraicInt(field, (-B - s * t) // 2, s)
     return (AlgebraicInt(field, r, 0), root, root.conjugate()), field
 
@@ -224,18 +225,33 @@ def solve_coefficients(roots: tuple[AlgebraicInt, ...], a0: int, a1: int,
     """Exact solution k of the Vandermonde system sum_i k_i r_i^n = a_n, n = 0, 1, 2.
 
     In Lagrange form k_i = (a2 - (r_j + r_l) a1 + r_j r_l a0) / ((r_i - r_j)(r_i - r_l))
-    for {i, j, l} = {0, 1, 2}; over a quadratic field the quotient num / den
-    is num conj(den) / N(den).
+    for {i, j, l} = {0, 1, 2}; the quotient num / den is num conj(den) / N(den),
+    reduced by the gcd of its two coordinates and N(den).  The arithmetic runs
+    on the coordinates (x, y) of x + y*omega, with omega^2 = t*omega + n; over
+    Q, t = n = y = 0, so conj(den) = den and N(den) = den^2 > 0.
     """
+    field = roots[0].field
+    if not field.d == roots[1].field.d == roots[2].field.d:
+        raise BadParameter("elements of different fields")
+    t, n = field.t, field.n
     out = []
     for i in range(3):
-        rj, rl = roots[i - 1], roots[i - 2]
-        den = (roots[i] - rj) * (roots[i] - rl)
-        if den.is_zero():
+        ri, rj, rl = roots[i], roots[i - 1], roots[i - 2]
+        # num = a2 - (r_j + r_l) a1 + r_j r_l a0
+        yy = rj.y * rl.y
+        nx = a2 - (rj.x + rl.x) * a1 + (rj.x * rl.x + n * yy) * a0
+        ny = -(rj.y + rl.y) * a1 + (rj.x * rl.y + rj.y * rl.x + t * yy) * a0
+        # den = (r_i - r_j)(r_i - r_l)
+        ux, uy, vx, vy = ri.x - rj.x, ri.y - rj.y, ri.x - rl.x, ri.y - rl.y
+        dx, dy = ux * vx + n * uy * vy, ux * vy + uy * vx + t * uy * vy
+        if not (dx or dy):
             raise SingularSystem("coincident roots make the Vandermonde matrix singular")
-        num = AlgebraicInt(den.field, a2, 0) - (rj + rl) * a1 + rj * rl * a0
-        out.append(_ratio(num * den.conjugate(), den.norm()) if den.field.degree == 2
-                   else _ratio(num, den.x))
+        # num * conj(den), conj(den) = (dx + t dy) - dy omega, over N(den)
+        cx = dx + t * dy
+        x, y = nx * cx - n * ny * dy, ny * cx - nx * dy - t * ny * dy
+        norm = dx * cx - n * dy * dy
+        g = gcd(x, y, norm)
+        out.append(FieldRatio(AlgebraicInt(field, x // g, y // g), norm // g))
     return tuple(out)
 
 
@@ -273,6 +289,55 @@ class StripCertificate:
     G: int
 
 
+def _strip_plan(k: tuple[AlgebraicInt, ...], r: tuple[AlgebraicInt, ...]
+                ) -> tuple[list[list[tuple[AlgebraicInt, int]]], StripCertificate]:
+    """The strip of strip_common_primes without its divisions: for each
+    coordinate the (prime, exponent) pairs to divide out of its k, and the
+    certificate.
+
+    Each k and each root is factored once.  The factorizations become dicts
+    keyed by each prime's coordinates (x, y), which name a canonical prime
+    uniquely once all six values lie in one field, so every exponent is a
+    lookup and the primes dividing all three terms are one set intersection.
+    """
+    if len({v.field.d for v in (*k, *r)}) > 1:
+        raise BadParameter("elements of different fields")
+    if any(v.is_zero() for v in k):
+        raise BadParameter("closed-form coefficients must be nonzero")
+    fr = [{(e.prime.x, e.prime.y): e for e in factor_element(v).entries} for v in r]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if fr[i].keys() & fr[j].keys():
+            raise RootsNotCoprime(f"roots {r[i]} and {r[j]} share a prime")
+    fk = [{(e.prime.x, e.prime.y): e for e in factor_element(v).entries} for v in k]
+    entries = {key: e for fac in (*fr, *fk) for key, e in fac.items()}
+    # q divides k_i r_i^n for every n >= 1 iff it divides k_i or r_i
+    common = ((fk[0].keys() | fr[0].keys()) & (fk[1].keys() | fr[1].keys())
+              & (fk[2].keys() | fr[2].keys()))
+    events: list[StripEvent] = []
+    amounts: list[list[tuple[AlgebraicInt, int]]] = [[], [], []]
+    for norm, key in sorted((entries[key].norm, key) for key in common):
+        q = entries[key].prime
+        e = [fac[key].exponent if key in fac else 0 for fac in fk]
+        o = [fac[key].exponent if key in fac else 0 for fac in fr]
+        # the roots are coprime, so at most one of them is divisible by q
+        absorbed = next((i for i in range(3) if o[i]), None)
+        c = min(e[i] for i in range(3) if i != absorbed)
+        deficit = n0 = 0
+        for i in range(3):
+            amount = c if i != absorbed else min(c, e[i])
+            if amount:
+                amounts[i].append((q, amount))
+            if i == absorbed:
+                deficit = c - amount
+                n0 = ceil(deficit / o[i]) if deficit else 0
+        events.append(StripEvent(q, norm, c, absorbed, deficit, n0))
+        if absorbed is None and max(e) == c:  # q is gone from every term
+            del entries[key]
+    n0 = max((ev.n0 for ev in events), default=0)
+    G = prod(e.norm for e in entries.values())
+    return amounts, StripCertificate(tuple(events), n0, G)
+
+
 def strip_common_primes(
     k: tuple[AlgebraicInt, ...], r: tuple[AlgebraicInt, ...]
 ) -> tuple[tuple[AlgebraicInt, ...], StripCertificate]:
@@ -283,53 +348,19 @@ def strip_common_primes(
     whose root is coprime to q.  A coordinate whose k cannot absorb the whole
     division has the shortfall covered by its root's power once n >= n0, which
     the certificate records (smaller n are checked directly by decide_zeros).
-    Each k and each root is factored once; the certificate's G, the radical
-    of the stripped terms, comes from those factorizations.
+    The certificate holds one StripEvent per stripped prime, in the one prime
+    order (norm, then coordinates), the largest n0, and G, the radical of the
+    stripped terms.  Each k and each root is factored once; G comes from
+    those factorizations.
     """
-    if any(v.is_zero() for v in k):
-        raise BadParameter("closed-form coefficients must be nonzero")
-    fr = [factor_element(v) for v in r]
-    prime_sets = [set(fac.primes()) for fac in fr]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if prime_sets[i] & prime_sets[j]:
-                raise RootsNotCoprime(f"roots {r[i]} and {r[j]} share a prime")
-    fk = [factor_element(v) for v in k]
-    seen = {entry.prime: entry for fac in fk for entry in fac}
-    events: list[StripEvent] = []
-    strip_amount = [dict(), dict(), dict()]
-    for entry in sorted(seen.values(), key=_entry_key):
-        q, norm = entry.prime, entry.norm
-        e = [fk[i].ord_of(q) for i in range(3)]
-        o = [fr[i].ord_of(q) for i in range(3)]
-        if min(ei + oi for ei, oi in zip(e, o)) < 1:
-            continue
-        clear = [i for i in range(3) if o[i] == 0]
-        c = min(e[i] for i in clear)
-        absorbed = next((i for i in range(3) if o[i] > 0), None)
-        deficit = 0
-        n0 = 0
-        for i in range(3):
-            amount = c if i != absorbed else min(c, e[i])
-            if amount:
-                strip_amount[i][q] = amount
-            if i == absorbed:
-                deficit = c - amount
-                n0 = ceil(deficit / o[i]) if deficit else 0
-        events.append(StripEvent(q, norm, c, absorbed, deficit, n0))
+    amounts, certificate = _strip_plan(k, r)
     stripped = []
-    for i, v in enumerate(k):
-        for q, amount in strip_amount[i].items():
+    for v, strips in zip(k, amounts):
+        for q, amount in strips:
             for _ in range(amount):
                 v = v.exact_div(q)
         stripped.append(v)
-    norms = {entry.prime: entry.norm for fac in fr for entry in fac}
-    for i, fac in enumerate(fk):
-        for entry in fac:
-            if entry.exponent > strip_amount[i].get(entry.prime, 0):
-                norms[entry.prime] = entry.norm
-    n0 = max((ev.n0 for ev in events), default=0)
-    return tuple(stripped), StripCertificate(tuple(events), n0, prod(norms.values()))
+    return tuple(stripped), certificate
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +606,12 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
         )
     denominator_lcm = lcm(*(k.den for k in ks))
     cleared = tuple(k.num * (denominator_lcm // k.den) for k in ks)
-    certificate = strip_common_primes(cleared, roots)[1]
+    certificate = _strip_plan(cleared, roots)[1]
     G = certificate.G
-    # the height of an algebraic integer r is log |N(r)|, so the largest of
-    # the three is the height of the root of largest |N(r)|
-    h_max = weil_height(max(roots, key=lambda r: abs(r.norm())))
+    # the Weil height of an algebraic integer r is the log projective height
+    # of (1 : r), which is log |N(r)|; the largest of the three is the log of
+    # the largest |N(r)|
+    h_max = float(MP.log(max(abs(r.norm()) for r in roots)))
     bound = zero_bound(G, h_max, config)
     truncated = False
     reason = ""

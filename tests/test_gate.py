@@ -169,3 +169,16 @@ def test_first_primes_past_the_float_range():
         for call in calls:
             with pytest.raises(BadParameter, match="^k is too large"):
                 call(k)
+
+
+def test_real_slots_past_the_float_range():
+    # an int past the float range passes as_real as it is; the bounds take it
+    # in mpmath, so each returns a float (inf past the float range) and none
+    # raises OverflowError
+    huge = 10**400
+    assert yu_ord_bound(1, 1, 1, 2, [huge], 3) == math.inf
+    assert yu_ord_bound(1, 1, 1, 2, [1.0], huge) == pytest.approx(
+        yu_ord_bound(1, 1, 1, 2, [1.0], 3) * math.log(huge) / math.log(3), rel=1e-12)
+    assert gyory_sunit_bound(2.0, 3.0, t=1, P=huge) == math.inf
+    assert gyory_sunit_bound(huge, 3.0) == math.inf
+    assert lefourn_sunit_bound(1.0, 2.0, degree=2, t=3, P3=huge) == math.inf

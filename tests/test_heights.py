@@ -286,3 +286,12 @@ def test_heights_owns_the_only_mpmath_context():
             if path.stem != "heights":
                 assert not [m for m in modules if m.split(".")[0] == "mpmath"], path.name
             assert not (isinstance(node, ast.Attribute) and node.attr == "workprec"), path.name
+
+
+def test_library_has_no_assert_statement():
+    """`python -O` strips assert statements, so the library checks its
+    invariants with a raise (arith.AbckitInternal for a broken one)."""
+    for path in sorted(Path(abckit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import pytest
@@ -31,7 +32,7 @@ from abckit.errors import (
     UnsupportedField,
 )
 from abckit import sml
-from abckit.arith import factor_element, primes_upto
+from abckit.arith import _entry_key, factor_element, primes_upto
 from abckit.sml import (
     CHECK_MODULUS,
     SCAN_MODULUS,
@@ -44,10 +45,13 @@ from abckit.sml import (
     _scan_scalar,
     _sieve,
     _state_at,
+    FieldRatio,
+    StripCertificate,
+    StripEvent,
     closed_form_value,
 )
 
-from conftest import ALL_FIELDS, GAUSSIAN
+from conftest import ALL_FIELDS, GAUSSIAN, QUADRATIC_FIELDS
 
 Q = RATIONALS
 FLAGSHIP = RecurrenceSpec(10, -31, 30, 31, 112, 452)
@@ -226,6 +230,11 @@ class TestSolveCoefficients:
         with pytest.raises(SingularSystem):
             solve_coefficients(tuple(gaussian[i] for i in order), 1, 0, 0)
 
+    def test_roots_of_different_fields_rejected(self):
+        roots = (q_int(1), AlgebraicInt(GAUSSIAN, 0, 1), AlgebraicInt(GAUSSIAN, 0, -1))
+        with pytest.raises(BadParameter, match="different fields"):
+            solve_coefficients(roots, 1, 2, 3)
+
     def test_quadratic_field_solution_is_exact(self):
         roots, field = find_roots((1, -2, 4, -3))  # 1 and (1 +- sqrt(-11))/2
         assert field.d == -11
@@ -234,6 +243,57 @@ class TestSolveCoefficients:
             for n, a_n in enumerate(target):
                 v = closed_form_value(ks, roots, n)
                 assert v.num == AlgebraicInt(field, a_n * v.den, 0)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.one_of(
+        st.tuples(st.just(Q), st.lists(st.integers(-30, 30).filter(bool), min_size=3,
+                                       max_size=3, unique=True)),
+        st.tuples(st.sampled_from(QUADRATIC_FIELDS), st.integers(-30, 30).filter(bool),
+                  st.integers(-20, 20), st.integers(-20, 20).filter(bool)),
+    ), order=st.permutations(range(3)), a=st.tuples(*[st.integers(-10**6, 10**6)] * 3))
+    def test_matches_lagrange_in_field_arithmetic(self, case, order, a):
+        # rational root triples, and one rational root with a conjugate pair
+        # in each admissible field, in every order
+        if case[0] is Q:
+            field, base = Q, tuple(q_int(v) for v in case[1])
+        else:
+            field, r, x, y = case
+            rho = AlgebraicInt(field, x, y)
+            base = (AlgebraicInt(field, r, 0), rho, rho.conjugate())
+        roots = tuple(base[i] for i in order)
+        ks = solve_coefficients(roots, *a)
+        assert ks == lagrange_by_field_arithmetic(roots, *a)
+        e1 = roots[0] + roots[1] + roots[2]
+        e2 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
+        e3 = roots[0] * roots[1] * roots[2]
+        assert e1.y == e2.y == e3.y == 0
+        spec = RecurrenceSpec(e1.x, -e2.x, e3.x, *a)
+        for n, a_n in enumerate(recurrence_values(spec, 6)):
+            v = closed_form_value(ks, roots, n)
+            assert v.num == AlgebraicInt(field, a_n * v.den, 0)
+
+
+def lagrange_by_field_arithmetic(roots, a0, a1, a2) -> tuple[FieldRatio, ...]:
+    """The reference solve: each Lagrange quotient num / den built from
+    AlgebraicInt arithmetic as num conj(den) / N(den) (num / den over Q), with
+    the denominator made positive and the gcd of all three integers divided
+    out."""
+    field = roots[0].field
+    out = []
+    for i in range(3):
+        rj, rl = roots[i - 1], roots[i - 2]
+        den = (roots[i] - rj) * (roots[i] - rl)
+        num = AlgebraicInt(field, a2, 0) - (rj + rl) * a1 + rj * rl * a0
+        if field.degree == 2:
+            num, den = num * den.conjugate(), den.norm()
+        else:
+            den = den.x
+        if den < 0:
+            num, den = -num, -den
+        g = math.gcd(num.x, num.y, den)
+        out.append(FieldRatio(AlgebraicInt(field, num.x // g, num.y // g), den // g))
+    return tuple(out)
 
 
 def radical_by_refactoring(stripped, roots) -> int:
@@ -253,6 +313,55 @@ def strip_inputs(draw):
     k = tuple(common * draw(elements(field, 30)) for _ in range(3))
     r = tuple(draw(elements(field, 12)) for _ in range(3))
     return k, r
+
+
+def strip_by_factorization_lookup(k, r):
+    """The reference strip: ord_of scans of each factorization, primes
+    compared as AlgebraicInts, and the divisions done in place."""
+    if any(v.is_zero() for v in k):
+        raise BadParameter("closed-form coefficients must be nonzero")
+    fr = [factor_element(v) for v in r]
+    prime_sets = [set(fac.primes()) for fac in fr]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if prime_sets[i] & prime_sets[j]:
+                raise RootsNotCoprime(f"roots {r[i]} and {r[j]} share a prime")
+    fk = [factor_element(v) for v in k]
+    seen = {entry.prime: entry for fac in fk for entry in fac}
+    events = []
+    strip_amount = [dict(), dict(), dict()]
+    for entry in sorted(seen.values(), key=_entry_key):
+        q, norm = entry.prime, entry.norm
+        e = [fk[i].ord_of(q) for i in range(3)]
+        o = [fr[i].ord_of(q) for i in range(3)]
+        if min(ei + oi for ei, oi in zip(e, o)) < 1:
+            continue
+        clear = [i for i in range(3) if o[i] == 0]
+        c = min(e[i] for i in clear)
+        absorbed = next((i for i in range(3) if o[i] > 0), None)
+        deficit = 0
+        n0 = 0
+        for i in range(3):
+            amount = c if i != absorbed else min(c, e[i])
+            if amount:
+                strip_amount[i][q] = amount
+            if i == absorbed:
+                deficit = c - amount
+                n0 = math.ceil(deficit / o[i]) if deficit else 0
+        events.append(StripEvent(q, norm, c, absorbed, deficit, n0))
+    stripped = []
+    for i, v in enumerate(k):
+        for q, amount in strip_amount[i].items():
+            for _ in range(amount):
+                v = v.exact_div(q)
+        stripped.append(v)
+    norms = {entry.prime: entry.norm for fac in fr for entry in fac}
+    for i, fac in enumerate(fk):
+        for entry in fac:
+            if entry.exponent > strip_amount[i].get(entry.prime, 0):
+                norms[entry.prime] = entry.norm
+    n0 = max((ev.n0 for ev in events), default=0)
+    return tuple(stripped), StripCertificate(tuple(events), n0, math.prod(norms.values()))
 
 
 class TestStripCommonPrimes:
@@ -326,6 +435,36 @@ class TestStripCommonPrimes:
             return
         stripped, cert = strip_common_primes(k, r)
         assert cert.G == radical_by_refactoring(stripped, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=strip_inputs())
+    def test_matches_the_reference_strip(self, inputs):
+        k, r = inputs
+        try:
+            want = strip_by_factorization_lookup(k, r)
+        except RootsNotCoprime as exc:
+            with pytest.raises(RootsNotCoprime, match=f"^{re.escape(str(exc))}$"):
+                strip_common_primes(k, r)
+            return
+        assert strip_common_primes(k, r) == want
+
+    def test_primes_with_equal_x_stay_apart(self):
+        # 1 + w and 1 + 2w are the primes of norms 2 and 5 in Z[i]; the strip
+        # must tell them apart by y.  2 divides every term, 5 only two
+        f = GAUSSIAN
+        pi2, pi5 = AlgebraicInt(f, 1, 1), AlgebraicInt(f, 1, 2)
+        k = (pi2 * pi5, pi2, pi2 * pi5 * pi5)
+        r = (AlgebraicInt(f, 3, 0), AlgebraicInt(f, 7, 0), AlgebraicInt(f, 11, 0))
+        stripped, cert = strip_common_primes(k, r)
+        assert stripped == (pi5, AlgebraicInt(f, 1, 0), pi5 * pi5)
+        assert [(ev.prime, ev.stripped) for ev in cert.events] == [(pi2, 1)]
+        assert cert.G == 5 * 9 * 49 * 121
+        assert (stripped, cert) == strip_by_factorization_lookup(k, r)
+
+    def test_elements_of_different_fields_rejected(self):
+        r = (AlgebraicInt(GAUSSIAN, 3, 0), q_int(5), q_int(7))
+        with pytest.raises(BadParameter, match="different fields"):
+            strip_common_primes((q_int(1), q_int(1), q_int(1)), r)
 
     def test_no_prime_divides_all_three_terms_afterwards(self, rng):
         for _ in range(100):

@@ -260,6 +260,32 @@ decide_all()
 seconds = time.perf_counter() - t0
 work = len(specs)
 """),
+    "sml.decide_zeros.catalogue_algebra_cold_s": (
+        "catalogue_algebra_s with _factor_nat, _int_entries and primes_above "
+        "cleared before the timed pass, as every benchmark job starts cold; "
+        "the untimed pass still runs first, for the imports and the lazy "
+        "prime sieve",
+        """
+from abckit import RecurrenceSpec, arith, decide_zeros
+from abckit.errors import AbckitError
+from generators import load_reference
+specs = [item["spec"] for item in load_reference("recurrence_batch")["catalogue"]]
+
+def decide_all():
+    for spec in specs:
+        try:
+            decide_zeros(RecurrenceSpec(*spec), cap=0)
+        except AbckitError:
+            pass
+
+decide_all()
+for cache in (arith._factor_nat, arith._int_entries, arith.primes_above):
+    cache.cache_clear()
+t0 = time.perf_counter()
+decide_all()
+seconds = time.perf_counter() - t0
+work = len(specs)
+"""),
     "bounds.thm2_rhs_1000_s": (
         "thm2_rhs at the calibrated C on every primitive triple with H <= 1000",
         """
