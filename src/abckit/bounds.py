@@ -13,6 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import QuadraticField, as_int, as_real, prime_ideals_in_norm_order
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     NotApplicable,
 )
 from .heights import MP
-from .radical import AbcTriple, Selectors, triple_height
+from .radical import AbcTriple, Selectors
 
 E_SQUARED_GUARD = math.e**math.e  # below this the triple-log exponent turns negative
 
@@ -59,8 +60,7 @@ class BoundConfig:
 DEFAULT_CONFIG = BoundConfig()
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Evaluated inequality: holds iff margin = rhs - lhs >= 0."""
 
     theorem: str
@@ -113,7 +113,7 @@ def _report(theorem: str, lhs: float, rhs: float, exponent: float, regime: str,
 
 
 def _log_height(triple: AbcTriple) -> float:
-    return float(MP.log(triple_height(triple)))
+    return float(MP.log(triple.H))
 
 
 def _power(G: int, a: float):
@@ -192,7 +192,7 @@ def _theorem_report(theorem: int, triple: AbcTriple, config: BoundConfig) -> Bou
     if G <= max(config.G_min, E_SQUARED_GUARD):
         return _theorem_report_mp(theorem, triple, config)
     log_base = _log_base(triple.height_selectors, theorem)
-    lhs = math.log(triple_height(triple))
+    lhs = math.log(triple.H)
     log_g = math.log(G)
     llg = math.log(log_g)
     kappa = math.log(llg) / llg
@@ -467,10 +467,16 @@ def landau_min_constant(field: QuadraticField, R: int) -> float:
     return float(best)
 
 
-def _check_constants(**constants: float) -> None:
+def _positive_constants(**constants: float) -> list:
+    """The reference constants as mpfs of MP (`_mp_real`), each checked finite
+    and positive there, so an int past the float range is taken as it is."""
+    out = []
     for name, value in constants.items():
-        if not (math.isfinite(value) and value > 0):
+        value = _mp_real(value, name)
+        if not (MP.isfinite(value) and value > 0):
             raise BadParameter(f"{name} must be finite and positive")
+        out.append(value)
+    return out
 
 
 def gyory_sunit_bound(h_alpha: float, h_beta: float, t: int = 0, P: float = 1.0,
@@ -483,7 +489,7 @@ def gyory_sunit_bound(h_alpha: float, h_beta: float, t: int = 0, P: float = 1.0,
     caller supplies the regulator data; unit-rank-zero fields have R = 1.
     log* means max(log x, 1).
     """
-    _check_constants(C13=C13, C14=C14)
+    C13, C14 = _positive_constants(C13=C13, C14=C14)
     h_alpha, h_beta = _mp_real(h_alpha, "h_alpha"), _mp_real(h_beta, "h_beta")
     P, R, R_S = _mp_real(P, "P"), _mp_real(R, "R"), _mp_real(R_S, "R_S")
     t = as_int(t, "t", 0)
@@ -523,7 +529,7 @@ def lefourn_sunit_bound(h_alpha: float, h_beta: float, degree: int, t: int,
     norm among the finite places of S (so P3 >= 2 there).  C118 and C119
     are the reference constants, supplied by the caller.
     """
-    _check_constants(C118=C118, C119=C119)
+    C118, C119 = _positive_constants(C118=C118, C119=C119)
     h_alpha, h_beta = _mp_real(h_alpha, "h_alpha"), _mp_real(h_beta, "h_beta")
     R_S, P3 = _mp_real(R_S, "R_S"), _mp_real(P3, "P3")
     degree = as_int(degree, "degree", 1)
@@ -588,7 +594,7 @@ def empirical_min_C(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
     for rows, triple in enumerate(triples, 1):
         log_base = _log_base(triple.height_selectors, theorem)
         _check_radical(triple.G)
-        lhs = math.log(triple_height(triple))
+        lhs = math.log(triple.H)
         # a base past e^700 is above log H of any H in memory
         if log_base > _EXP_MAX or lhs < math.exp(log_base) - _ERR_UNIT * (lhs + 1):
             continue

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import (
     AlgebraicInt,
@@ -18,15 +18,21 @@ from .arith import (
     ideal_coprime,
 )
 from .errors import (
+    BadParameter,
     NotCoprime,
     SumNotZero,
     UnsupportedField,
     ZeroCoordinate,
 )
 
+# Largest H_limit enumerate_primitive_triples takes: its triples must fit in
+# 4 GiB.  A triple takes about 347 bytes (tracemalloc over the 152,096 of
+# H <= 1000, shared factorizations included) and there are at most H^2/4 of
+# them, so H^2/4 * 347 <= 2^32 gives H <= 7036, rounded down.
+H_LIMIT_MAX = 7000
 
-@dataclass(frozen=True)
-class Selectors:
+
+class Selectors(NamedTuple):
     """Norm selectors of a triple: largest prime norm dividing each coordinate
     (1 for units), third-largest dividing c, third-largest dividing b*c."""
 
@@ -37,14 +43,15 @@ class Selectors:
     n_q: int
 
 
-@dataclass(frozen=True)
-class AbcTriple:
+class AbcTriple(NamedTuple):
     """Coprime a + b + c = 0 over Q or an admissible imaginary quadratic field.
 
     ``selectors`` follow the given order of (a, b, c).  The bounds read
     ``by_height``, the factorizations relabeled by |norm| ascending (ties
-    broken by coordinates), and ``height_selectors``, the selectors of that
-    order; both are computed once, when the triple is built.
+    broken by coordinates), ``height_selectors``, the selectors of that
+    order, and ``H``, the exact projective height max |N(a)|, |N(b)|, |N(c)|
+    (max |a|, |b|, |c| over Q); all are computed once, when the triple is
+    built.  A named tuple: immutable, ``_replace`` gives a changed copy.
     """
 
     field: QuadraticField
@@ -58,6 +65,7 @@ class AbcTriple:
     selectors: Selectors
     by_height: tuple[IdealFactorization, IdealFactorization, IdealFactorization]
     height_selectors: Selectors
+    H: int
 
     def coordinates(self) -> tuple[AlgebraicInt, AlgebraicInt, AlgebraicInt]:
         return (self.a, self.b, self.c)
@@ -100,12 +108,13 @@ def make_triple(a, b, c, field: QuadraticField | None = None) -> AbcTriple:
     # the plain product of every distinct prime norm
     big_g = fa.radical() * fb.radical() * fc.radical()
     coords, facs = (a, b, c), (fa, fb, fc)
-    order = sorted(range(3), key=lambda i: (abs(coords[i].norm()), coords[i].x, coords[i].y))
+    sizes = [abs(v.norm()) for v in coords]
+    order = sorted(range(3), key=lambda i: (sizes[i], coords[i].x, coords[i].y))
     by_height = tuple(facs[i] for i in order)
     selectors = selector_record(fa, fb, fc)
     height_selectors = selectors if order == [0, 1, 2] else selector_record(*by_height)
     return AbcTriple(field, a, b, c, fa, fb, fc, big_g, selectors, by_height,
-                     height_selectors)
+                     height_selectors, max(sizes))
 
 
 def triple_height(triple: AbcTriple) -> int:
@@ -113,11 +122,10 @@ def triple_height(triple: AbcTriple) -> int:
 
     Pairwise coprimality means no prime divides two coordinates, so every
     finite local factor is 1 and the height is the infinite part alone:
-    max |x_i| over Q, max |norm(x_i)| over an imaginary quadratic field.
+    max |x_i| over Q, max |norm(x_i)| over an imaginary quadratic field,
+    which the triple carries as ``H``.
     """
-    if triple.field.degree == 1:
-        return max(abs(v.x) for v in triple.coordinates())
-    return max(abs(v.norm()) for v in triple.coordinates())
+    return triple.H
 
 
 def smoothness_S(triple: AbcTriple) -> int:
@@ -139,8 +147,13 @@ def enumerate_primitive_triples(H_limit: int) -> list[AbcTriple]:
     shared by all triples using it.  Coprime X < Y < Z are already in height
     order, and over Q the norm ordering of primes is the ordering of the
     primes themselves.
+
+    H_limit above H_LIMIT_MAX raises BadParameter before any work: the
+    triples would not fit in 4 GiB.
     """
     H_limit = as_int(H_limit, "H_limit", 2)
+    if H_limit > H_LIMIT_MAX:
+        raise BadParameter(f"H_limit must be at most {H_LIMIT_MAX}, got {H_limit}")
     # index 0 is a placeholder, never used
     fac = [factor_int(1)] + [factor_int(n) for n in range(1, H_limit + 1)]
     element = [AlgebraicInt(RATIONALS, n) for n in range(H_limit + 1)]
@@ -162,5 +175,5 @@ def enumerate_primitive_triples(H_limit: int) -> list[AbcTriple]:
             sel = Selectors(top[x], top[y], top[z], third[z], n_q)
             fa, fb = fac[x], fac[y]
             out.append(AbcTriple(RATIONALS, element[x], element[y], c, fa, fb, fc,
-                                 radical[x] * radical[y] * rad_z, sel, (fa, fb, fc), sel))
+                                 radical[x] * radical[y] * rad_z, sel, (fa, fb, fc), sel, z))
     return out

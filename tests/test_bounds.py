@@ -312,7 +312,7 @@ class TestCorollaries:
         # N_max < (log H)^a with a < 3/5 needs H > e^(N_max^(5/3)), so N_a = 1
         # is planted on a triple with max(N_b, N_c) = 3 < (log H)^(1/2)
         t = make_triple(7153, 524288, -531441)  # 23 * 311 + 2^19 = 3^12
-        t = replace(t, height_selectors=replace(t.height_selectors, n_a=1))
+        t = t._replace(height_selectors=t.height_selectors._replace(n_a=1))
         report = corollary_bound(7, t, alpha=0.5)
         assert report.exponent_used == pytest.approx(2 * float_kappa(t.G), rel=1e-12)
         assert report.rhs == pytest.approx(t.G ** (2 * float_kappa(t.G)), rel=1e-12)

@@ -26,6 +26,7 @@ from abckit import (
     lefourn_sunit_bound,
     make_triple,
     primorial_chain_violations,
+    radical,
     rosser_violations,
     smooth_numbers,
     tidy_bound,
@@ -42,6 +43,7 @@ from abckit.arith import (
     primes_upto,
     splitting_type,
 )
+from abckit.cli import dispatch
 from abckit.errors import BadParameter
 
 from conftest import GAUSSIAN
@@ -138,7 +140,17 @@ REAL_GATED = [
      lambda v: lefourn_sunit_bound(1.0, 2.0, degree=2, t=3, R_S=v, P3=5.0), "R_S", 3),
     ("lefourn_sunit_bound.P3",
      lambda v: lefourn_sunit_bound(1.0, 2.0, degree=2, t=3, P3=v), "P3", 5),
+    ("gyory_sunit_bound.C13", lambda v: gyory_sunit_bound(2.0, 3.0, t=1, P=7.0, C13=v),
+     "C13", 2),
+    ("gyory_sunit_bound.C14", lambda v: gyory_sunit_bound(2.0, 3.0, t=1, P=7.0, C14=v),
+     "C14", 3),
+    ("lefourn_sunit_bound.C118",
+     lambda v: lefourn_sunit_bound(1.0, 2.0, degree=2, t=1, R_S=3.0, C118=v), "C118", 2),
+    ("lefourn_sunit_bound.C119",
+     lambda v: lefourn_sunit_bound(1.0, 2.0, degree=2, t=3, P3=5.0, C119=v), "C119", 3),
 ]
+
+SUNIT_CONSTANTS = REAL_GATED[-4:]
 
 
 @pytest.mark.parametrize("call, name, good", [case[1:] for case in REAL_GATED],
@@ -182,3 +194,29 @@ def test_real_slots_past_the_float_range():
     assert gyory_sunit_bound(2.0, 3.0, t=1, P=huge) == math.inf
     assert gyory_sunit_bound(huge, 3.0) == math.inf
     assert lefourn_sunit_bound(1.0, 2.0, degree=2, t=3, P3=huge) == math.inf
+    # the S-unit reference constants likewise
+    assert gyory_sunit_bound(2.0, 3.0, C13=huge) == math.inf
+    assert gyory_sunit_bound(2.0, 3.0, C13=10**300) == pytest.approx(3e300, rel=1e-12)
+    for _, call, _, _ in SUNIT_CONSTANTS:
+        assert call(huge) == math.inf
+
+
+@pytest.mark.parametrize("call, name, good", [case[1:] for case in SUNIT_CONSTANTS],
+                         ids=[case[0] for case in SUNIT_CONSTANTS])
+def test_sunit_constants_finite_and_positive(call, name, good):
+    for bad in (0, 0.0, Fraction(0), -1, -10**400, math.inf, -math.inf):
+        with pytest.raises(BadParameter, match=f"^{name} must be finite and positive$"):
+            call(bad)
+
+
+def test_primitive_triples_ceiling(monkeypatch, capsys):
+    # past the ceiling the call raises before it factors anything
+    monkeypatch.setattr(radical, "factor_int", None)
+    limit = radical.H_LIMIT_MAX + 1
+    message = f"H_limit must be at most {radical.H_LIMIT_MAX}, got {limit}"
+    with pytest.raises(BadParameter, match=f"^{message}$"):
+        enumerate_primitive_triples(limit)
+    with pytest.raises(BadParameter, match=f"^{message}$"):
+        enumerate_primitive_triples(np.int64(limit))
+    code = dispatch(["calibrate", "--theorem", "2", "--H-limit", str(limit)])
+    assert code == 1 and message in capsys.readouterr().err

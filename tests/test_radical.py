@@ -10,11 +10,13 @@ from abckit import (
     AlgebraicInt,
     RATIONALS,
     QuadraticField,
+    Selectors,
     enumerate_primitive_triples,
     factor_element,
     make_triple,
     projective_height,
     smoothness_S,
+    thm2_rhs,
     triple_height,
 )
 from abckit.errors import (
@@ -104,10 +106,11 @@ class TestMakeTriple:
             else:
                 assert t.G == factor_element(t.a * t.b * t.c).radical()
 
-    def test_height_matches_projective_height(self, rng):
-        for _ in range(100):
-            t = random_triple(rng)
-            assert projective_height(t.coordinates(), t.field) == triple_height(t)
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=[f.label() for f in ALL_FIELDS])
+    def test_height_matches_projective_height(self, rng, field):
+        for _ in range(30):
+            t = random_triple(rng, field)
+            assert projective_height(t.coordinates(), t.field) == t.H == triple_height(t)
 
 
 class TestSmoothness:
@@ -182,3 +185,31 @@ class TestEnumeratePrimitiveTriples:
         for H in (2, 3, 4, 5, 6, 7, 8, 30, 97, 128, 199, 200):
             count = sum(-t.c.x <= H for t in oracle)
             assert enumerate_primitive_triples(H) == oracle[:count]
+
+    def test_height_is_z(self):
+        triples = enumerate_primitive_triples(300)
+        assert len(triples) == 13_699
+        assert all(t.H == -t.c.x == triple_height(t) for t in triples)
+
+
+# (record, a field, a new value for it)
+RECORDS = [
+    (Selectors(1, 2, 3, 1, 1), "n_b", 5),
+    (make_triple(1, 8, -9), "G", 7),
+    (thm2_rhs(make_triple(3, 125, -128)), "theorem", "thm9"),
+]
+
+
+@pytest.mark.parametrize("record, name, value", RECORDS,
+                         ids=[type(case[0]).__name__ for case in RECORDS])
+def test_records(record, name, value):
+    cls = type(record)
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
+    same = cls(*(getattr(record, f) for f in cls._fields))
+    assert same == record and hash(same) == hash(record)
+    changed = record._replace(**{name: value})
+    assert getattr(changed, name) == value and getattr(record, name) != value
+    assert all(getattr(changed, f) == getattr(record, f) for f in cls._fields if f != name)
+    fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in cls._fields)
+    assert repr(record) == f"{cls.__name__}({fields})"

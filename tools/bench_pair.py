@@ -111,13 +111,28 @@ assert arith.is_probable_prime(2**2048 - 1557)
 seconds = time.perf_counter() - t0
 work = 1
 """),
-    "radical.enumerate_primitive_triples_1000_s": (
+    "radical.enumerate_primitive_triples.h1000_s": (
         "build every primitive triple with H <= 1000",
         """
 from abckit import enumerate_primitive_triples
 t0 = time.perf_counter()
 work = len(enumerate_primitive_triples(1000))
 seconds = time.perf_counter() - t0
+"""),
+    "bounds.calibrate_and_report.h1000_s": (
+        "empirical_min_C for theorem 2, then thm2_rhs at that C, over every "
+        "primitive triple with H <= 1000: the calibrate workload at the "
+        "ROADMAP's baseline size, triples built untimed",
+        """
+from abckit import BoundConfig, empirical_min_C, enumerate_primitive_triples, thm2_rhs
+triples = enumerate_primitive_triples(1000)
+t0 = time.perf_counter()
+C = empirical_min_C(triples, 2)
+config = BoundConfig(C_main=C)
+reports = [thm2_rhs(t, config) for t in triples]
+seconds = time.perf_counter() - t0
+assert C == 0.41127528566033666 and all(r.holds for r in reports)
+work = len(triples)
 """),
     "bounds.empirical_min_C_1000_s": (
         "calibrate theorem 2's C over every primitive triple with H <= 1000",
