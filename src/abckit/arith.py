@@ -428,6 +428,10 @@ def _is_strong_lucas_prp(n: int) -> bool:
     of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4; with
     n + 1 = d*2^s, n passes iff U_d = 0 or V_{d*2^r} = 0 (mod n) for some
     0 <= r < s.
+
+    Only V is computed, by a ladder on (V_k, V_{k+1}, Q^k).  Since
+    D*U_k = 2*V_{k+1} - P*V_k and gcd(D, n) = 1, U_d = 0 exactly when
+    2*V_{d+1} = V_d (mod n).
     """
     if isqrt(n) ** 2 == n:
         return False
@@ -443,18 +447,16 @@ def _is_strong_lucas_prp(n: int) -> bool:
     s = ((n + 1) & -(n + 1)).bit_length() - 1
     d = (n + 1) >> s
 
-    def half(v: int) -> int:
-        v %= n
-        return (v + n if v & 1 else v) // 2
-
-    # U_1 = 1, V_1 = P = 1; doubling: U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k;
-    # step: U_{k+1} = (U_k + V_k)/2, V_{k+1} = (D U_k + V_k)/2
-    U, V, Qk = 1, 1, Q % n
+    # from k = 1 (V_1 = P = 1, V_2 = P^2 - 2Q): V_2k = V_k^2 - 2Q^k,
+    # V_{2k+1} = V_k V_{k+1} - P Q^k, V_{2k+2} = V_{k+1}^2 - 2Q^{k+1}
+    V, W, Qk = 1, (1 - 2 * Q) % n, Q % n
     for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
         if bit == "1":
-            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
-    if U == 0 or V == 0:
+            Qk1 = Qk * Q
+            V, W, Qk = (V * W - Qk) % n, (W * W - 2 * Qk1) % n, Qk * Qk1 % n
+        else:
+            V, W, Qk = (V * V - 2 * Qk) % n, (V * W - Qk) % n, Qk * Qk % n
+    if V == 0 or (2 * W - V) % n == 0:
         return True
     for _ in range(s - 1):
         V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
@@ -688,11 +690,60 @@ def _strip_small_primes(n: int, out: dict[int, int]) -> int:
     return n
 
 
+_TRIAL_BOUND = 1000
+
+
+@lru_cache(maxsize=1)
+def _trial_groups() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The primes up to _TRIAL_BOUND in runs of consecutive primes, each run
+    with its product below 2^60: (product, primes) pairs, 25 of them."""
+    groups, run = [], []
+    for p in primes_upto(_TRIAL_BOUND):
+        if run and prod(run) * p >= 1 << 60:
+            groups.append((prod(run), tuple(run)))
+            run = []
+        run.append(p)
+    groups.append((prod(run), tuple(run)))
+    return tuple(groups)
+
+
+def _trial_divide(n: int, out: dict[int, int]) -> int:
+    """Divide the primes up to min(sqrt(n), _TRIAL_BOUND) out of n >= 1 into
+    `out`; return the rest, which has no prime factor up to
+    min(sqrt(rest), _TRIAL_BOUND).
+
+    One gcd per group of `_trial_groups` finds the group's primes that divide
+    n, so a group with none costs that gcd alone.  The groups stop at the
+    first one whose smallest prime passes the square root of what is left.
+    """
+    root = isqrt(n)
+    for product, primes in _trial_groups():
+        if primes[0] > root:
+            break
+        g = gcd(n, product)
+        if g == 1:
+            continue
+        for p in primes:
+            if g % p == 0:
+                n //= p
+                e = 1
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out[p] = e
+                g //= p
+                if g == 1:
+                    break
+        root = isqrt(n)
+    return n
+
+
 @lru_cache(maxsize=1 << 16)
 def _factor_nat(n: int) -> tuple[tuple[int, int], ...]:
     """Sorted (prime, exponent) pairs of n >= 1.
 
-    Trial division by the primes up to min(sqrt(n), 1000); a cofactor above
+    Trial division by the primes up to min(sqrt(n), 1000), a group of
+    consecutive primes at a time (`_trial_divide`); a cofactor above
     2^128 then loses every prime below 2^16 through one gcd with their
     product, so rho never peels small primes off a huge part one primality
     test at a time.  A part below 1000^2 is prime by the trial division.  A
@@ -718,11 +769,8 @@ def _factor_nat(n: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
     if n <= 1:
         return ()
-    bound, huge = 1000, 1 << 128
-    for p in primes_upto(min(isqrt(n), bound)):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    bound, huge = _TRIAL_BOUND, 1 << 128
+    n = _trial_divide(n, out)
     if n > huge:
         n = _strip_small_primes(n, out)
     # no prime <= min(sqrt(n), bound) is left, so any part below bound^2 is prime
@@ -792,17 +840,19 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
-def _cornacchia_4p(D: int, p: int) -> tuple[int, int] | None:
+def _cornacchia_4p(D: int, p: int, sqrt_disc: int | None = None) -> tuple[int, int] | None:
     """(u, v) with u^2 + |D|*v^2 = 4p for a negative discriminant D, or None.
 
-    Modified Cornacchia descent; always succeeds here because the supported
-    fields have class number one, so every split or ramified p is a norm.
+    Modified Cornacchia descent from a square root of D mod p: `sqrt_disc`
+    when given (odd p), else `sqrt_mod`'s.  Always succeeds here because the
+    supported fields have class number one, so every split or ramified p is
+    a norm; either square root gives the same (u, v).
     """
     if p == 2:
         t = D + 8
         u = isqrt(t) if t >= 0 else -1
         return (u, 1) if u >= 0 and u * u == t else None
-    x0 = sqrt_mod(D % p, p)
+    x0 = sqrt_mod(D % p, p) if sqrt_disc is None else sqrt_disc % p
     if x0 is None:
         return None
     if (x0 - D) % 2:
@@ -833,8 +883,9 @@ def splitting_type(field: QuadraticField, p: int) -> str:
     return "split" if pow(disc % p, (p - 1) // 2, p) == 1 else "inert"
 
 
-def _element_of_norm(field: QuadraticField, p: int) -> AlgebraicInt:
-    uv = _cornacchia_4p(field.disc, p)
+def _element_of_norm(field: QuadraticField, p: int,
+                     sqrt_disc: int | None = None) -> AlgebraicInt:
+    uv = _cornacchia_4p(field.disc, p, sqrt_disc)
     if uv is None:
         raise AbckitInternal(f"no element of norm {p} in {field.label()}")
     u, v = uv
@@ -842,50 +893,100 @@ def _element_of_norm(field: QuadraticField, p: int) -> AlgebraicInt:
     return AlgebraicInt(field, (u - field.t * v) // 2, v)
 
 
-@lru_cache(maxsize=1 << 16)
-def primes_above(field: QuadraticField, p: int) -> tuple[FactorEntry, ...]:
-    """The canonical prime elements over the rational prime p, with norms.
-
-    Split p yields two primes of norm p, ramified one of norm p, inert one
-    of norm p^2 (the entry exponents are placeholders set to 1).
-    """
-    kind = splitting_type(field, p)
+def _lift_prime(field: QuadraticField, p: int, root: int | None) -> tuple[FactorEntry, ...]:
+    """The entries of primes_above(field, p), computed.  `root`, when given,
+    is a root of omega^2 = t*omega + n mod an odd p known to split, so the
+    Cornacchia descent takes its square root of disc, 2*root - t, from it."""
+    kind = "split" if root is not None else splitting_type(field, p)
     if kind == "inert":
         return (FactorEntry(canonical_associate(AlgebraicInt(field, p, 0)), 1, p * p),)
-    pi = canonical_associate(_element_of_norm(field, p))
+    sqrt_disc = None if root is None else 2 * root - field.t
+    pi = canonical_associate(_element_of_norm(field, p, sqrt_disc))
     if kind == "ramified":
         return (FactorEntry(pi, 1, p),)
     pi_bar = canonical_associate(pi.conjugate())
     return tuple(sorted((FactorEntry(pi, 1, p), FactorEntry(pi_bar, 1, p)), key=_entry_key))
 
 
+# The primes above each rational p, keyed by (d, p) for the field Q(sqrt(d)):
+# at most _ABOVE_MAX of them, the oldest dropped first.  `primes_above` and
+# `factor_quad` share it.
+_ABOVE: dict[tuple[int, int], tuple[FactorEntry, ...]] = {}
+_ABOVE_MAX = 1 << 16
+
+
+def _above(field: QuadraticField, p: int, root: int | None = None) -> tuple[FactorEntry, ...]:
+    """primes_above(field, p) through the cache; `root` as for `_lift_prime`."""
+    key = (field.d, p)
+    entries = _ABOVE.get(key)
+    if entries is None:
+        entries = _lift_prime(field, p, root)
+        if len(_ABOVE) >= _ABOVE_MAX:
+            del _ABOVE[next(iter(_ABOVE))]
+        _ABOVE[key] = entries
+    return entries
+
+
+def primes_above(field: QuadraticField, p: int) -> tuple[FactorEntry, ...]:
+    """The canonical prime elements over the rational prime p, with norms.
+
+    Split p yields two primes of norm p, ramified one of norm p, inert one
+    of norm p^2 (the entry exponents are placeholders set to 1).  Cached;
+    `primes_above.cache_clear()` empties the cache.
+    """
+    return _above(field, p)
+
+
+primes_above.cache_clear = _ABOVE.clear
+
+
+@lru_cache(maxsize=1 << 16)
 def factor_quad(alpha: AlgebraicInt) -> IdealFactorization:
     """Factor a nonzero quadratic integer into canonical primes times a unit.
 
     Route (Cohen, GTM 138, ch. 5): factor |norm(alpha)| over Z, lift each
-    rational prime p through the splitting rule, and divide out; valid
-    because every ideal is principal.  If p^k exactly divides the norm, then
-    k = sum of e_i * f_i over the primes above p, where e_i is the order of
-    the i-th prime in alpha and f_i is 2 for an inert p and 1 otherwise.  So
-    the divisions by the primes above p stop once they have spent k: the
-    conjugate of a split p is not tried when the first prime took all of k,
-    and no division is tried that must fail.  Each division is one quotient
-    on the coordinates.
+    rational prime p to the primes above it, and divide out; valid because
+    every ideal is principal.  Cached per element, as `_int_entries` is for
+    Q, so an element factored twice is lifted once.
+
+    With x + y*omega the quotient so far, an odd p dividing the norm but not
+    disc or y splits, and exactly one prime pi above it divides x + y*omega,
+    to the whole exponent k of p in the norm: pi is the one with
+    omega = r = -x/y (mod pi), that is with pi.x + pi.y*r = 0 (mod p), or
+    times y, pi.x*y - pi.y*x = 0 (mod p).  So pi is found without a Legendre
+    symbol, a cache miss takes its square root of disc, 2r - t, from r, and
+    no division fails.
+
+    Otherwise (p = 2, p ramified, or p | x + y*omega) the primes above p
+    are divided out in turn, stopping once they have spent k: if p^k
+    exactly divides the norm, then k = sum of e_i * f_i over the primes
+    above p, where e_i is the order of the i-th prime in alpha and f_i is 2
+    for an inert p and 1 otherwise.  Each division is one quotient on the
+    coordinates.
     """
     field = alpha.field
     if field.degree != 2:
         raise UnsupportedField("factor_quad needs a quadratic field element")
     if alpha.is_zero():
         raise ZeroInput("cannot factor 0")
-    x, y = alpha.x, alpha.y
+    x, y, disc = alpha.x, alpha.y, field.disc
     entries: list[FactorEntry] = []
     for p, k in _factor_nat(abs(alpha.norm())):
-        for cand in primes_above(field, p):
-            step = 1 if cand.norm == p else 2
-            e, x, y = _divide_out(field, x, y, cand, k // step)
-            if e:
-                entries.append(FactorEntry(cand.prime, e, cand.norm))
-                k -= e * step
+        if p != 2 and disc % p and y % p:
+            above = _ABOVE.get((field.d, p)) or _above(field, p, -x * pow(y, -1, p) % p)
+            cand = above[0]
+            if (cand.prime.x * y - cand.prime.y * x) % p:
+                cand = above[1]
+            e, x, y = _divide_out(field, x, y, cand, k)
+            entries.append(FactorEntry(cand.prime, e, p))
+            k -= e
+        else:
+            for cand in _above(field, p):
+                step = 1 if cand.norm == p else 2
+                e, x, y = _divide_out(field, x, y, cand, k // step)
+                if e:
+                    entries.append(FactorEntry(cand.prime, e, cand.norm))
+                    k -= e * step
         if k:
             raise AbckitInternal(f"the primes above {p} do not account for {alpha}'s norm")
     entries.sort(key=_entry_key)

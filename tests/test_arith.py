@@ -17,10 +17,12 @@ from abckit import (
     factor_int,
     factor_quad,
     ideal_coprime,
+    make_triple,
     parse_element,
     parse_field,
 )
 from abckit.arith import (
+    FactorEntry,
     _factor_nat,
     _is_strong_lucas_prp,
     _is_strong_prp,
@@ -341,6 +343,21 @@ class TestBailliePSW:
                 assert not is_probable_prime(n) and not sympy.isprime(n), n
         assert count > 100
 
+    def test_lucas_matches_sympy(self):
+        # the base-2 half of BPSW hides a broken Lucas ladder on primes, so
+        # the pinning needs the composites that pass it too
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        for n in range(3, 20_000, 2):
+            assert _is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+        rng = random.Random(6128)
+        for _ in range(2000):
+            bits = rng.randint(64, 128)
+            n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            assert _is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+        for n in STRONG_LUCAS_PSEUDOPRIMES[:10]:
+            assert _is_strong_lucas_prp(n) and not sympy.isprime(n), n
+
     def test_chernick_carmichael_numbers(self):
         numbers = _chernick_carmichaels(40)
         assert all(n > 1 << 64 for n in numbers)
@@ -395,6 +412,19 @@ class TestFactorDifferential:
     @given(n=planted_numbers())
     def test_planted_factors_hypothesis(self, n):
         assert dict(_factor_nat(n)) == sympy.factorint(n)
+
+    def test_trial_division_edges(self):
+        # 997 is the last prime of the trial division, 1009 the first past it;
+        # a part below 1000^2 left by it is prime
+        cases = [997**2, 997 * 1009, 1009**2, 991 * 997 * 1009]
+        for product, primes in arith._trial_groups():
+            assert product < 1 << 60
+            cases += [product, primes[0] * primes[-1]]
+        rng = random.Random(1000)
+        cases += [rng.randrange(1, 10**6) for _ in range(5000)]
+        for n in cases:
+            assert dict(_factor_nat(n)) == sympy.factorint(n), n
+        assert [p for _, primes in arith._trial_groups() for p in primes] == primes_upto(1000)
 
     def test_many_primes_above_2_16_against_sympy(self, rng):
         mid = [p for p in primes_upto(1 << 18) if p > 1 << 16]
@@ -584,12 +614,13 @@ class TestEllipticCurveMethod:
         assert str(p) in out and str(q) in out and calls == [p * q]
 
 
-def _factor_quad_by_divides(alpha: AlgebraicInt) -> tuple:
+def _factor_quad_by_divides(alpha: AlgebraicInt, above=primes_above) -> tuple:
     """Entries and unit by the earlier lift: for each p | N(alpha), test and
-    divide by every prime above p with `divides` and `exact_div` until one fails."""
+    divide by every prime in above(field, p) with `divides` and `exact_div`
+    until one fails."""
     remaining, entries = alpha, []
     for p, _ in _factor_nat(abs(alpha.norm())):
-        for cand in primes_above(alpha.field, p):
+        for cand in above(alpha.field, p):
             e = 0
             while cand.prime.divides(remaining):
                 remaining = remaining.exact_div(cand.prime)
@@ -636,6 +667,99 @@ class TestFactorQuadLift:
     def test_random_elements(self, rng):
         for _ in range(300):
             self._assert_same(random_element(rng, rng.choice(QUADRATIC_FIELDS), 10**12))
+
+
+def _reference_primes_above(field: QuadraticField, p: int) -> tuple:
+    """The primes above p by the splitting rule: a Legendre symbol, then for
+    a split or ramified p the Cornacchia descent from `sqrt_mod`'s square
+    root of disc, without `primes_above`'s cache."""
+    kind = splitting_type(field, p)
+    if kind == "inert":
+        return (FactorEntry(canonical_associate(AlgebraicInt(field, p, 0)), 1, p * p),)
+    sqrt_disc = None if p == 2 else sqrt_mod(field.disc, p)
+    pi = canonical_associate(arith._element_of_norm(field, p, sqrt_disc))
+    if kind == "ramified":
+        return (FactorEntry(pi, 1, p),)
+    pi_bar = canonical_associate(pi.conjugate())
+    return tuple(sorted((FactorEntry(pi, 1, p), FactorEntry(pi_bar, 1, p)),
+                        key=lambda e: (e.norm, e.prime.x, e.prime.y)))
+
+
+def _planted_lift_cases(field: QuadraticField, rng: random.Random) -> list[AlgebraicInt]:
+    """Elements with p | alpha (split, ramified and inert p), a ramified
+    prime to a power, 2 and the primes above it, an inert p, and y = 0 mod p
+    with p not dividing x; each times a random element."""
+    small = primes_upto(400)
+    split = [p for p in small[1:] if splitting_type(field, p) == "split"]
+    inert = [p for p in small[1:] if splitting_type(field, p) == "inert"]
+    ramified = [p for p in small if field.disc % p == 0]
+    cases = [AlgebraicInt(field, 30030, 0), AlgebraicInt(field, 2**5 * 3**4, 0)]
+    for _ in range(6):
+        base = random_element(rng, field, 10**6)
+        p, q = rng.choice(split), rng.choice(inert)
+        pi = _reference_primes_above(field, p)[rng.randrange(2)].prime
+        cases += [p * base, p * p * pi * base, q * base, q * q * pi**3 * base,
+                  2**rng.randint(1, 4) * base]
+        cases += [e.prime ** rng.randint(1, 5) * base
+                  for r in ramified + [2] for e in _reference_primes_above(field, r)]
+        x = rng.randrange(1, 10**6)
+        while x % p == 0:
+            x += 1
+        cases.append(AlgebraicInt(field, x, p * rng.randint(-10**3, 10**3)))
+    return cases
+
+
+class TestLiftDifferential:
+    """factor_quad's root-based lift, in all nine fields, against the
+    reference lift through `_reference_primes_above`, with the caches of
+    `primes_above` and `factor_quad` cold or warm."""
+
+    @staticmethod
+    def _assert_lift(alpha: AlgebraicInt, cold: bool) -> None:
+        if cold:
+            primes_above.cache_clear()
+            factor_quad.cache_clear()
+        fac = factor_quad(alpha)
+        entries, unit = _factor_quad_by_divides(alpha, _reference_primes_above)
+        assert [(e.prime, e.exponent, e.norm) for e in fac] == entries, alpha
+        assert fac.unit == unit, alpha
+        # the primes above each p, cached by the lift, are the reference ones
+        for p, _ in _factor_nat(abs(alpha.norm())):
+            assert primes_above(alpha.field, p) == _reference_primes_above(alpha.field, p)
+
+    def test_planted_cases_in_every_field(self, rng):
+        for field in QUADRATIC_FIELDS:
+            for i, alpha in enumerate(_planted_lift_cases(field, rng)):
+                self._assert_lift(alpha, cold=i % 2 == 0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(field=st.sampled_from(QUADRATIC_FIELDS), x=st.integers(-10**7, 10**7),
+           y=st.integers(-10**6, 10**6), cold=st.booleans())
+    def test_hypothesis_elements(self, field, x, y, cold):
+        if x or y:
+            self._assert_lift(AlgebraicInt(field, x, y), cold)
+
+    def test_make_triple_reuses_the_lift(self, rng):
+        for field in QUADRATIC_FIELDS:
+            a, b = random_element(rng, field, 10**8), random_element(rng, field, 10**8)
+            while not ideal_coprime(a, b) or (a + b).is_zero():
+                b = random_element(rng, field, 10**8)
+            triple = make_triple(a, b, -(a + b))
+            assert triple.fac_a == factor_element(a)
+            # one lift per element: both come from factor_quad's cache
+            assert triple.fac_a is factor_element(a) and triple.fac_c is factor_element(-(a + b))
+
+    def test_caches_are_bounded(self, rng, monkeypatch):
+        assert factor_quad.cache_info().maxsize == 1 << 16
+        assert arith._ABOVE_MAX == 1 << 16
+        monkeypatch.setattr(arith, "_ABOVE_MAX", 5)
+        primes_above.cache_clear()
+        factor_quad.cache_clear()
+        for _ in range(40):
+            self._assert_lift(random_element(rng, rng.choice(QUADRATIC_FIELDS), 10**8),
+                              cold=False)
+            assert len(arith._ABOVE) <= 5
+        primes_above.cache_clear()
 
 
 class TestFactorQuad:

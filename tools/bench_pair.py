@@ -86,8 +86,9 @@ work = len(semiprimes)
 """),
     "arith.factor_element.quad_lift_seed1_s": (
         "factor_element over the a, b, c of quad_reports seed 1, after one "
-        "untimed pass has warmed _factor_nat and primes_above, so only the "
-        "lift from norms to prime ideals is timed",
+        "untimed pass has warmed _factor_nat and primes_above and the "
+        "per-element cache of factor_quad (where there is one) is emptied, "
+        "so only the lift from norms to prime ideals is timed",
         """
 from abckit import arith
 from generators import load_reference, sample_quads
@@ -96,11 +97,49 @@ batch = sample_quads(load_reference("quad_reports")["catalogue"], 1)
 elements = [v for triple in QuadReports.elements(batch) for v in triple]
 for v in elements:
     arith.factor_element(v)
+getattr(arith.factor_quad, "cache_clear", lambda: None)()
 t0 = time.perf_counter()
 for v in elements:
     arith.factor_element(v)
 seconds = time.perf_counter() - t0
 work = len(elements)
+"""),
+    "arith.factor_element.quad_lift_cold_seed1_s": (
+        "quad_lift_seed1_s with primes_above's cache emptied too, so the "
+        "timed pass finds each prime ideal afresh while _factor_nat stays warm",
+        """
+from abckit import arith
+from generators import load_reference, sample_quads
+from workloads import QuadReports
+batch = sample_quads(load_reference("quad_reports")["catalogue"], 1)
+elements = [v for triple in QuadReports.elements(batch) for v in triple]
+for v in elements:
+    arith.factor_element(v)
+arith.primes_above.cache_clear()
+getattr(arith.factor_quad, "cache_clear", lambda: None)()
+t0 = time.perf_counter()
+for v in elements:
+    arith.factor_element(v)
+seconds = time.perf_counter() - t0
+work = len(elements)
+"""),
+    "arith.is_probable_prime.primes_40_64bit_s": (
+        "is_probable_prime on 1,000 seeded primes of 40 to 64 bits, where "
+        "BPSW's Lucas half runs in full",
+        """
+import random
+from abckit import arith
+rng = random.Random(4064)
+primes = []
+while len(primes) < 1000:
+    bits = rng.randint(40, 64)
+    p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    if arith.is_probable_prime(p):
+        primes.append(p)
+t0 = time.perf_counter()
+assert all(arith.is_probable_prime(p) for p in primes)
+seconds = time.perf_counter() - t0
+work = len(primes)
 """),
     "arith.is_probable_prime_2048_s": (
         "decide the 2048-bit prime 2^2048 - 1557",
