@@ -52,7 +52,6 @@ from .radical import (
     enumerate_primitive_triples,
     make_triple,
     smoothness_S,
-    triple_height,
 )
 from .sml import (
     RecurrenceSpec,

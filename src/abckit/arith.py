@@ -57,8 +57,6 @@ def as_real(value, name: str):
 
 CLASS_NUMBER_ONE_D = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 # ---------------------------------------------------------------------------
 # Fields and elements
@@ -392,6 +390,42 @@ def first_primes(k: int) -> list[int]:
     return primes_upto(bound)[:k]
 
 
+def _runs_below(primes: list[int], cap: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """`primes` in runs of consecutive primes, each run's product below cap:
+    (product, primes) pairs."""
+    runs = [(1, ())]
+    for p in primes:
+        product, run = runs[-1]
+        if product * p < cap:
+            runs[-1] = (product * p, run + (p,))
+        else:
+            runs.append((p, (p,)))
+    return tuple(runs)
+
+
+# The one table of small primes, walked by `_trial_divide`: the primes up to
+# _TRIAL_BOUND in 25 runs, each run's product below 2^60.  BPSW screens with the first.
+_TRIAL_BOUND = 1000
+_TRIAL_GROUPS = _runs_below(primes_upto(_TRIAL_BOUND), 1 << 60)
+
+
+def _divide_run(n: int, g: int, primes, out: dict[int, int]) -> int:
+    """Divide out of n, into `out`, each of `primes` dividing g, a squarefree
+    divisor of n whose primes are not yet in `out`; return the rest."""
+    for p in primes:
+        if g % p == 0:
+            n //= p
+            e = 1
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+            g //= p
+            if g == 1:
+                break
+    return n
+
+
 def _jacobi(a: int, n: int) -> int:
     """The Jacobi symbol (a/n) for odd n > 0."""
     a %= n
@@ -466,7 +500,7 @@ def _is_strong_lucas_prp(n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Primality by Baillie-PSW, after division by the primes up to 37.
+    """Primality by Baillie-PSW, after division by the primes up to 47.
 
     n must pass a strong base-2 test and a strong Lucas test with Selfridge's
     parameters (Baillie-Wagstaff 1980).  Below 2^64 this is a proof: no
@@ -477,9 +511,9 @@ def is_probable_prime(n: int) -> bool:
     n = as_int(n, "n")
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    product, primes = _TRIAL_GROUPS[0]
+    if gcd(n, product) > 1:  # a prime up to 47 divides n
+        return n in primes
     return _is_strong_prp(n, 2) and _is_strong_lucas_prp(n)
 
 
@@ -672,69 +706,23 @@ def _small_prime_product() -> int:
     return prod(primes_upto(_SMALL_LIMIT))
 
 
-def _strip_small_primes(n: int, out: dict[int, int]) -> int:
-    """Divide every prime below _SMALL_LIMIT out of n into `out`; return the rest.
-
-    One gcd against the product of those primes finds the ones that divide n,
-    so a large part with no small factor costs one gcd and nothing else.
-    """
-    g = gcd(n, _small_prime_product())
-    for p in primes_upto(_SMALL_LIMIT):
-        if g == 1:
-            break
-        if g % p == 0:
-            g //= p
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-    return n
-
-
-_TRIAL_BOUND = 1000
-
-
-@lru_cache(maxsize=1)
-def _trial_groups() -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The primes up to _TRIAL_BOUND in runs of consecutive primes, each run
-    with its product below 2^60: (product, primes) pairs, 25 of them."""
-    groups, run = [], []
-    for p in primes_upto(_TRIAL_BOUND):
-        if run and prod(run) * p >= 1 << 60:
-            groups.append((prod(run), tuple(run)))
-            run = []
-        run.append(p)
-    groups.append((prod(run), tuple(run)))
-    return tuple(groups)
-
-
 def _trial_divide(n: int, out: dict[int, int]) -> int:
     """Divide the primes up to min(sqrt(n), _TRIAL_BOUND) out of n >= 1 into
     `out`; return the rest, which has no prime factor up to
     min(sqrt(rest), _TRIAL_BOUND).
 
-    One gcd per group of `_trial_groups` finds the group's primes that divide
-    n, so a group with none costs that gcd alone.  The groups stop at the
+    One gcd per run of `_TRIAL_GROUPS` finds the run's primes that divide
+    n, so a run with none costs that gcd alone.  The runs stop at the
     first one whose smallest prime passes the square root of what is left.
     """
     root = isqrt(n)
-    for product, primes in _trial_groups():
+    for product, primes in _TRIAL_GROUPS:
         if primes[0] > root:
             break
         g = gcd(n, product)
-        if g == 1:
-            continue
-        for p in primes:
-            if g % p == 0:
-                n //= p
-                e = 1
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out[p] = e
-                g //= p
-                if g == 1:
-                    break
-        root = isqrt(n)
+        if g > 1:
+            n = _divide_run(n, g, primes, out)
+            root = isqrt(n)
     return n
 
 
@@ -742,7 +730,7 @@ def _trial_divide(n: int, out: dict[int, int]) -> int:
 def _factor_nat(n: int) -> tuple[tuple[int, int], ...]:
     """Sorted (prime, exponent) pairs of n >= 1.
 
-    Trial division by the primes up to min(sqrt(n), 1000), a group of
+    Trial division by the primes up to min(sqrt(n), 1000), a run of
     consecutive primes at a time (`_trial_divide`); a cofactor above
     2^128 then loses every prime below 2^16 through one gcd with their
     product, so rho never peels small primes off a huge part one primality
@@ -772,7 +760,7 @@ def _factor_nat(n: int) -> tuple[tuple[int, int], ...]:
     bound, huge = _TRIAL_BOUND, 1 << 128
     n = _trial_divide(n, out)
     if n > huge:
-        n = _strip_small_primes(n, out)
+        n = _divide_run(n, gcd(n, _small_prime_product()), primes_upto(_SMALL_LIMIT), out)
     # no prime <= min(sqrt(n), bound) is left, so any part below bound^2 is prime
     stack = [n] if n > 1 else []
     while stack:
@@ -869,13 +857,25 @@ def _cornacchia_4p(D: int, p: int, sqrt_disc: int | None = None) -> tuple[int, i
     return (b, v) if v * v == v2 else None
 
 
-def splitting_type(field: QuadraticField, p: int) -> str:
-    """'ramified' iff p | disc; odd p splits iff disc is a nonzero QR mod p;
-    p = 2 follows disc mod 8 (split at 1, inert at 5)."""
+def _as_prime(field: QuadraticField, p) -> int:
+    """The gate of `splitting_type` and `primes_above`: p through `as_int`,
+    UnsupportedField unless the field is quadratic, BadParameter unless p is prime."""
     p = as_int(p, "p", 2)
     if field.degree != 2:
         raise UnsupportedField("splitting is defined for quadratic fields")
-    disc = field.disc
+    if not is_probable_prime(p):
+        raise BadParameter(f"p must be a prime, got {p}")
+    return p
+
+
+def splitting_type(field: QuadraticField, p: int) -> str:
+    """'ramified' iff p | disc; odd p splits iff disc is a nonzero QR mod p;
+    p = 2 follows disc mod 8 (split at 1, inert at 5).  p must be prime."""
+    return _splitting(field.disc, _as_prime(field, p))
+
+
+def _splitting(disc: int, p: int) -> str:
+    """`splitting_type` for the discriminant disc and a prime p, ungated."""
     if disc % p == 0:
         return "ramified"
     if p == 2:
@@ -897,7 +897,7 @@ def _lift_prime(field: QuadraticField, p: int, root: int | None) -> tuple[Factor
     """The entries of primes_above(field, p), computed.  `root`, when given,
     is a root of omega^2 = t*omega + n mod an odd p known to split, so the
     Cornacchia descent takes its square root of disc, 2*root - t, from it."""
-    kind = "split" if root is not None else splitting_type(field, p)
+    kind = "split" if root is not None else _splitting(field.disc, p)
     if kind == "inert":
         return (FactorEntry(canonical_associate(AlgebraicInt(field, p, 0)), 1, p * p),)
     sqrt_disc = None if root is None else 2 * root - field.t
@@ -931,10 +931,10 @@ def primes_above(field: QuadraticField, p: int) -> tuple[FactorEntry, ...]:
     """The canonical prime elements over the rational prime p, with norms.
 
     Split p yields two primes of norm p, ramified one of norm p, inert one
-    of norm p^2 (the entry exponents are placeholders set to 1).  Cached;
-    `primes_above.cache_clear()` empties the cache.
+    of norm p^2 (the entry exponents are placeholders set to 1).  p must be
+    prime.  Cached; `primes_above.cache_clear()` empties the cache.
     """
-    return _above(field, p)
+    return _above(field, _as_prime(field, p))
 
 
 primes_above.cache_clear = _ABOVE.clear
@@ -1049,7 +1049,7 @@ def ideal_gcd_norm(elements, norms=None) -> int:
         return g
     common = 1
     for p, k in _factor_nat(g):
-        for entry in primes_above(field, p):
+        for entry in _above(field, p):
             m = k if entry.norm == p else k // 2
             for x in elements:
                 m = _divide_out(field, x.x, x.y, entry, m)[0]
@@ -1078,7 +1078,7 @@ def prime_ideals_in_norm_order(field: QuadraticField, count: int) -> list[Factor
     while True:
         found: list[FactorEntry] = []
         for p in primes_upto(bound):
-            found.extend(primes_above(field, p))
+            found.extend(_above(field, p))
         complete = [e for e in found if e.norm <= bound]
         if len(complete) >= count:
             complete.sort(key=_entry_key)

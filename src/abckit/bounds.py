@@ -24,10 +24,19 @@ from .errors import (
     HypothesisFails,
     NotApplicable,
 )
-from .heights import MP
+from .heights import MP, _to_float
 from .radical import AbcTriple, Selectors
 
 E_SQUARED_GUARD = math.e**math.e  # below this the triple-log exponent turns negative
+
+
+def _finite_real(value, name: str):
+    """`as_real(value, name)`, with BadParameter unless it is finite; an int
+    or a fraction past the float range counts as infinite (`_to_float`)."""
+    value = as_real(value, name)
+    if not math.isfinite(_to_float(value)):
+        raise BadParameter(f"{name} must be finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -44,8 +53,9 @@ class BoundConfig:
 
     def __post_init__(self):
         for name in ("C_main", "G_min"):
-            if not math.isfinite(getattr(self, name)):
-                raise BadParameter(f"{name} must be finite")
+            _finite_real(getattr(self, name), name)
+        if not isinstance(self.full_exponent, bool):
+            raise BadParameter(f"full_exponent must be a bool, got {self.full_exponent!r}")
         # C_main = 0 is allowed: it drops the radical exponent entirely, and
         # the calibrator legitimately returns 0 for datasets that need no help
         if self.C_main < 0:
@@ -588,7 +598,7 @@ def empirical_min_C(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
     the same float base.  Every other row takes its C_row from `_needed_C_mp`,
     so the result, errors included, is that of taking every row in mpmath.
     """
-    if not 0 < tol < math.inf:
+    if _finite_real(tol, "tol") <= 0:
         raise BadParameter(f"tol must be positive and finite, got {tol}")
     rows, needed = 0, []  # C_row of each row that needs C
     for rows, triple in enumerate(triples, 1):

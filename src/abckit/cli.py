@@ -25,7 +25,7 @@ from .errors import (
     UnknownKey,
     UnsupportedField,
 )
-from .heights import log_projective_height, projective_height, weil_height
+from .heights import MP, log_projective_height, projective_height, weil_height
 
 
 def fmt(value) -> str:
@@ -165,7 +165,7 @@ def _triple_row(t: radical.AbcTriple) -> list:
     return [
         str(t.a), str(t.b), str(t.c), t.field.label(), t.G, smooth,
         sel.n_a, sel.n_b, sel.n_c, sel.n_c_third, sel.n_q,
-        log_projective_height(t.coordinates(), t.field),
+        float(MP.log(t.H)),
     ]
 
 

@@ -50,8 +50,9 @@ class AbcTriple(NamedTuple):
     ``by_height``, the factorizations relabeled by |norm| ascending (ties
     broken by coordinates), ``height_selectors``, the selectors of that
     order, and ``H``, the exact projective height max |N(a)|, |N(b)|, |N(c)|
-    (max |a|, |b|, |c| over Q); all are computed once, when the triple is
-    built.  A named tuple: immutable, ``_replace`` gives a changed copy.
+    (max |a|, |b|, |c| over Q; coprime coordinates have no finite local
+    factor); all are computed once, when the triple is built.  A named
+    tuple: immutable, ``_replace`` gives a changed copy.
     """
 
     field: QuadraticField
@@ -115,17 +116,6 @@ def make_triple(a, b, c, field: QuadraticField | None = None) -> AbcTriple:
     height_selectors = selectors if order == [0, 1, 2] else selector_record(*by_height)
     return AbcTriple(field, a, b, c, fa, fb, fc, big_g, selectors, by_height,
                      height_selectors, max(sizes))
-
-
-def triple_height(triple: AbcTriple) -> int:
-    """Exact projective height of a valid triple.
-
-    Pairwise coprimality means no prime divides two coordinates, so every
-    finite local factor is 1 and the height is the infinite part alone:
-    max |x_i| over Q, max |norm(x_i)| over an imaginary quadratic field,
-    which the triple carries as ``H``.
-    """
-    return triple.H
 
 
 def smoothness_S(triple: AbcTriple) -> int:

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from math import gcd, isqrt, prod
 
@@ -417,14 +420,14 @@ class TestFactorDifferential:
         # 997 is the last prime of the trial division, 1009 the first past it;
         # a part below 1000^2 left by it is prime
         cases = [997**2, 997 * 1009, 1009**2, 991 * 997 * 1009]
-        for product, primes in arith._trial_groups():
+        for product, primes in arith._TRIAL_GROUPS:
             assert product < 1 << 60
             cases += [product, primes[0] * primes[-1]]
         rng = random.Random(1000)
         cases += [rng.randrange(1, 10**6) for _ in range(5000)]
         for n in cases:
             assert dict(_factor_nat(n)) == sympy.factorint(n), n
-        assert [p for _, primes in arith._trial_groups() for p in primes] == primes_upto(1000)
+        assert [p for _, primes in arith._TRIAL_GROUPS for p in primes] == primes_upto(1000)
 
     def test_many_primes_above_2_16_against_sympy(self, rng):
         mid = [p for p in primes_upto(1 << 18) if p > 1 << 16]
@@ -479,6 +482,58 @@ class TestStripSmallPrimes:
         p, q = sympy.prevprime(2**30), sympy.nextprime(2**31)
         assert _factor_nat(big * p * q) == ((p, 1), (q, 1), (big, 1))
         assert _factor_nat(big * 997**3) == ((997, 3), (big, 1))
+
+
+class TestSmallPrimeTable:
+    """`_TRIAL_GROUPS` is the one table of small primes: BPSW's pre-screen is
+    its first run, and one walk divides out the primes of a run both in
+    trial division and in the strip of parts above 2^128."""
+
+    def test_table(self):
+        assert len(arith._TRIAL_GROUPS) == 25
+        assert arith._TRIAL_GROUPS[0][1] == tuple(primes_upto(47))
+
+    def test_primality_below_10_5_and_at_the_edges_against_sympy(self):
+        assert ([is_probable_prime(n) for n in range(10**5)]
+                == [sympy.isprime(n) for n in range(10**5)])
+        # the last primes of the first run, the first prime past it, and
+        # composites of those primes alone
+        edges = [41, 43, 47, 53, 94, 2209, 1763, 41 * 43 * 47, 2 * 3 * 5 * 7 * 47]
+        edges += [2**64 + d for d in range(-300, 300)]
+        for n in edges:
+            assert is_probable_prime(n) == sympy.isprime(n), n
+
+    def test_factor_nat_around_2_128_against_sympy(self, rng):
+        small = primes_upto(1000)
+        mid = [p for p in primes_upto(1 << 16) if p > 1000]
+        # a square below 1000^2 is left only by a walk that misses a run
+        cases = [p * p for p in small] + [2**128 - 1, 2**128]
+        for _ in range(4):
+            lows = prod(p ** rng.choice([1, 2, 3]) for p in rng.sample(small, 8))
+            mids = prod(p ** rng.choice([1, 1, 2]) for p in rng.sample(mid, 4))
+            # the cofactor puts the part left after trial division just below
+            # and just above 2^128
+            q = (1 << 128) // mids
+            cases += [lows * mids * sympy.prevprime(q), lows * mids * sympy.nextprime(q)]
+        for n in cases:
+            assert dict(_factor_nat(n)) == sympy.factorint(n), n
+
+    def test_strip_route_is_taken(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the strip should leave a prime part")
+
+        monkeypatch.setattr(arith, "_brent_rho", refuse)
+        monkeypatch.setattr(arith, "_ecm", refuse)
+        mids = rng.sample([p for p in primes_upto(1 << 16) if p > 1000], 30)
+        n = prod(mids) * (2**127 - 1)
+        assert _factor_nat.__wrapped__(n) == tuple((p, 1) for p in sorted(mids + [2**127 - 1]))
+
+    def test_import_builds_no_sieve_past_1024(self):
+        src = os.path.dirname(os.path.dirname(arith.__file__))
+        code = "import abckit; print(abckit.arith._sieve_limit)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert int(out.stdout) <= 1024
 
 
 def _affine_add(P, Q, A, B, p):

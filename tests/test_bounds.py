@@ -39,6 +39,7 @@ from abckit.bounds import (
     BoundConfig,
     DEFAULT_CONFIG,
     E_SQUARED_GUARD,
+    _finite_real,
     _log_base,
     _log_height,
     _needed_C_mp,
@@ -642,7 +643,7 @@ def bisection_min_c(lhs: float, base: float, kappa_log_g: float, tol: float) -> 
 def empirical_min_c_mp(triples, theorem: int, config: BoundConfig = DEFAULT_CONFIG,
                        tol: float = 1e-6) -> float:
     """Reference: `empirical_min_C` with every row in mpmath."""
-    if not 0 < tol < math.inf:
+    if _finite_real(tol, "tol") <= 0:
         raise BadParameter(f"tol must be positive and finite, got {tol}")
     triples = list(triples)
     if not triples:

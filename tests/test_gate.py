@@ -13,10 +13,12 @@ import pytest
 
 from abckit import (
     RATIONALS,
+    BoundConfig,
     QuadraticField,
     RecurrenceSpec,
     corollary_bound,
     decide_zeros,
+    empirical_min_C,
     enumerate_primitive_triples,
     enumerate_triples,
     exponent_term,
@@ -40,11 +42,12 @@ from abckit.arith import (
     first_primes,
     is_probable_prime,
     prime_ideals_in_norm_order,
+    primes_above,
     primes_upto,
     splitting_type,
 )
 from abckit.cli import dispatch
-from abckit.errors import BadParameter
+from abckit.errors import BadParameter, UnsupportedField
 
 from conftest import GAUSSIAN
 
@@ -66,6 +69,7 @@ GATED = [
     ("primes_upto", primes_upto, "n", 30, None),
     ("is_probable_prime", is_probable_prime, "n", 97, None),
     ("splitting_type.p", lambda v: splitting_type(GAUSSIAN, v), "p", 5, 2),
+    ("primes_above.p", lambda v: primes_above(GAUSSIAN, v), "p", 5, 2),
     ("first_primes", first_primes, "k", 12, 1),
     ("prime_ideals_in_norm_order", lambda v: prime_ideals_in_norm_order(GAUSSIAN, v),
      "count", 6, 1),
@@ -148,9 +152,13 @@ REAL_GATED = [
      lambda v: lefourn_sunit_bound(1.0, 2.0, degree=2, t=1, R_S=3.0, C118=v), "C118", 2),
     ("lefourn_sunit_bound.C119",
      lambda v: lefourn_sunit_bound(1.0, 2.0, degree=2, t=3, P3=5.0, C119=v), "C119", 3),
+    ("BoundConfig.C_main", lambda v: BoundConfig(C_main=v), "C_main", 2),
+    ("BoundConfig.G_min", lambda v: BoundConfig(G_min=v), "G_min", 20),
+    ("empirical_min_C.tol", lambda v: empirical_min_C([T], 2, tol=v), "tol", 1),
 ]
 
-SUNIT_CONSTANTS = REAL_GATED[-4:]
+SUNIT_CONSTANTS = [case for case in REAL_GATED if case[2] in ("C13", "C14", "C118", "C119")]
+FINITE_ONLY = [case for case in REAL_GATED if case[2] in ("C_main", "G_min", "tol")]
 
 
 @pytest.mark.parametrize("call, name, good", [case[1:] for case in REAL_GATED],
@@ -207,6 +215,39 @@ def test_sunit_constants_finite_and_positive(call, name, good):
     for bad in (0, 0.0, Fraction(0), -1, -10**400, math.inf, -math.inf):
         with pytest.raises(BadParameter, match=f"^{name} must be finite and positive$"):
             call(bad)
+
+
+@pytest.mark.parametrize("call, name, good", [case[1:] for case in FINITE_ONLY],
+                         ids=[case[0] for case in FINITE_ONLY])
+def test_finite_slots(call, name, good):
+    # an int or a fraction past the float range counts as infinite: refused
+    # with BadParameter, not OverflowError
+    for bad in (math.inf, -math.inf, np.float64("inf"), 10**400, -10**400, Fraction(10**400)):
+        with pytest.raises(BadParameter, match=f"^{name} must be finite$"):
+            call(bad)
+
+
+def test_full_exponent_is_a_bool():
+    assert BoundConfig(full_exponent=True).full_exponent is True
+    for bad in ("no", "", 1, 0, None, np.bool_(True)):
+        with pytest.raises(BadParameter, match="^full_exponent must be a bool, got "):
+            BoundConfig(full_exponent=bad)
+
+
+def test_lift_entries_take_primes_only():
+    # a composite would come back as one "inert prime" (65 = 5 * 13, and both
+    # split in Z[i]) and 9 as inert; a float would hit the cache of its int
+    primes_above(GAUSSIAN, 5)
+    for call in (primes_above, splitting_type):
+        for bad in (65, 25, 9, 1763, 2**64 + 1):
+            with pytest.raises(BadParameter, match=f"^p must be a prime, got {bad}$"):
+                call(GAUSSIAN, bad)
+        with pytest.raises(BadParameter, match=r"^p must be an integer, got 5\.0$"):
+            call(GAUSSIAN, 5.0)
+        with pytest.raises(UnsupportedField):
+            call(RATIONALS, 5)
+    assert [e.norm for e in primes_above(GAUSSIAN, 13)] == [13, 13]
+    assert splitting_type(GAUSSIAN, 13) == "split"
 
 
 def test_primitive_triples_ceiling(monkeypatch, capsys):

@@ -13,11 +13,11 @@ from abckit import (
     Selectors,
     enumerate_primitive_triples,
     factor_element,
+    log_projective_height,
     make_triple,
     projective_height,
     smoothness_S,
     thm2_rhs,
-    triple_height,
 )
 from abckit.errors import (
     BadParameter,
@@ -26,6 +26,8 @@ from abckit.errors import (
     UnsupportedField,
     ZeroCoordinate,
 )
+
+from abckit.heights import MP
 
 from conftest import ALL_FIELDS, GAUSSIAN, random_element
 
@@ -51,7 +53,7 @@ class TestMakeTriple:
         t = make_triple(1, 8, -9)
         assert t.G == 6
         assert (t.selectors.n_a, t.selectors.n_b, t.selectors.n_c) == (1, 2, 3)
-        assert triple_height(t) == 9
+        assert t.H == 9
 
     def test_gaussian_example(self):
         t = make_triple(
@@ -110,7 +112,9 @@ class TestMakeTriple:
     def test_height_matches_projective_height(self, rng, field):
         for _ in range(30):
             t = random_triple(rng, field)
-            assert projective_height(t.coordinates(), t.field) == t.H == triple_height(t)
+            assert projective_height(t.coordinates(), t.field) == t.H
+            # the log H column of `abckit radical` reads t.H
+            assert float(MP.log(t.H)) == log_projective_height(t.coordinates(), t.field)
 
 
 class TestSmoothness:
@@ -189,7 +193,7 @@ class TestEnumeratePrimitiveTriples:
     def test_height_is_z(self):
         triples = enumerate_primitive_triples(300)
         assert len(triples) == 13_699
-        assert all(t.H == -t.c.x == triple_height(t) for t in triples)
+        assert all(t.H == -t.c.x for t in triples)
 
 
 # (record, a field, a new value for it)
