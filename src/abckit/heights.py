@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import gcd, inf
 
 import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 from .arith import (
     AlgebraicInt,
@@ -36,6 +37,10 @@ from .errors import AllZero, BadParameter, ZeroInput
 MP_BITS = 64  # mpmath's working precision, the float filter's reference in bounds
 MP = mpmath.MPContext()  # every mpmath value, never at the caller's mpmath.mp.prec
 MP.prec = MP_BITS
+# interval arithmetic for a decision that a float filter leaves open; its
+# one user, xyz.thm4_status, sets the precision each enclosure needs (an
+# enclosure is sound at any precision, only wider at a lower one)
+_IV = MPIntervalContext()
 
 
 @dataclass(frozen=True)

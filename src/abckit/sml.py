@@ -21,7 +21,7 @@ one table of powers of the companion matrix for the whole scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import ceil, floor, gcd, isinf, isqrt, lcm, prod
+from math import ceil, exp, floor, gcd, inf, isinf, isqrt, lcm, log, prod
 
 from .arith import (
     AbckitInternal,
@@ -35,7 +35,14 @@ from .arith import (
     factor_element,
     primes_upto,
 )
-from .bounds import BoundConfig, DEFAULT_CONFIG, exponent_term
+from .bounds import (
+    BoundConfig,
+    DEFAULT_CONFIG,
+    E_SQUARED_GUARD,
+    _ERR_UNIT,
+    _EXP_MAX,
+    exponent_term,
+)
 from .errors import (
     BadParameter,
     BadRadical,
@@ -46,7 +53,7 @@ from .errors import (
     UnsupportedField,
     ZeroInput,
 )
-from .heights import MP
+from .heights import MP, _to_float
 
 HARD_ENUMERATION_LIMIT = 10**9
 DEFAULT_CAP = 10**6
@@ -367,11 +374,79 @@ def strip_common_primes(
 # The zero bound and the decision procedure
 
 
+def _float_exponent(G: int, log_g: float, config: BoundConfig) -> float | None:
+    """exponent_term(G, C_main, config) in float64, by the formula of
+    `bounds._theorem_report`; None for G_min < G <= e^e, where the term is
+    nonzero and loglog G <= 1, so the error bound below does not hold."""
+    if G <= config.G_min:
+        return 0.0
+    if G <= E_SQUARED_GUARD:
+        return None
+    llg = log(log_g)
+    kappa = log(llg) / llg
+    if config.full_exponent:
+        kappa += 1 / llg + llg / log_g
+    return config.C_main * kappa
+
+
+def _float_zero_bound(G: int, h_max, config: BoundConfig) -> tuple[float, float] | None:
+    """(bound, E): zero_bound in float64 and its relative error radius E, or
+    None where the float path does not apply (see zero_bound)."""
+    log_g = log(G)
+    term = _float_exponent(G, log_g, config)
+    if term is None:
+        return None
+    x = (1 / 3 + term) * log_g
+    if not x < _EXP_MAX:
+        return None
+    bound = exp(x) / _to_float(h_max)
+    err = _ERR_UNIT * ((1 + 40 * config.C_main) * log_g + 8)
+    if not (2.0**-1022 <= bound < inf and err < 2.0**-10):  # a normal float
+        return None
+    return bound, err
+
+
+def _mp_zero_bound(G: int, h_max, config: BoundConfig) -> float:
+    """G^(1/3 + exponent_term) / h_max in mpmath at 64 bits, inf past the
+    float range: the fallback and oracle of the float path."""
+    term = exponent_term(G, config.C_main, config)
+    return float(MP.mpf(G) ** (MP.mpf(1) / 3 + term) / h_max)
+
+
 def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> float:
     """G^(1/3 + exponent term) / h_max: past this index the sequence cannot vanish.
 
-    The bound is evaluated in mpmath and returned as a float, which is inf once
-    it passes the float range.
+    The bound is taken in float64 as exp(x) / h_max with
+    x = (1/3 + C kappa) log G, and kappa = logloglog G / loglog G (plus
+    1/loglog G + loglog G / log G with ``full_exponent``) by the float
+    formula of `bounds._theorem_report`.  It comes from `_mp_zero_bound`,
+    mpmath at 64 bits, where that does not apply: G_min < G <= e^e (the
+    term is nonzero and loglog G <= 1), x >= _EXP_MAX, a value that is not
+    a normal float, and E >= 2^-10.  So a bound past the float range is inf.
+
+    Error bound.  Let u = 2^-53, l = log G, C = C_main, and assume math.log
+    and math.exp within 1 ulp (2u relative), and mpmath's log, exp and
+    power within 1 ulp at 64 bits.  For G <= G_min the term is 0; for
+    G > e^e, loglog G > 1 and the float kappa is within 22u of the true one
+    (`_theorem_report`).  The float log G is within 4u l, its int-to-float
+    rounding included.  So
+    s = 1/3 + C kappa is within u (0.7 + 26 C), x within u l (2.4 + 36 C) and
+    exp(x) within a relative u l (2.4 + 36 C) + 2u of the true values.
+    decide_zeros takes h_max = math.log of the largest root norm (within 4u
+    relative of the true log) on this path, and float(MP.log) of it (within
+    1.01u) on the mpmath one; the division and mpmath's final rounding add
+    u each.  The mpmath path rounds C kappa to float, so its exponent is
+    within 2.01 u C of the true one and its bound within a relative
+    u (2.1 C l + 0.01 l + 2.1).  Summing both paths, the float bound is
+    within a relative u ((2.41 + 38.1 C) l + 9.1) of the mpmath one, to
+    first order.  The radius
+
+        E = 2^-48 ((1 + 40 C) l + 8) = 32 u ((1 + 40 C) l + 8)
+
+    is at least 8 times that; with E < 2^-10 the second-order terms, and the
+    roundings of bound (1 - E) and bound (1 + E), fit in the slack.  So the
+    64-bit mpmath bound lies in [bound (1 - E), bound (1 + E)], and a decision
+    that is the same at both ends of that range is the mpmath path's.
     """
     G = as_int(G, "G")
     if G < 2:
@@ -379,8 +454,24 @@ def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> fl
     h_max = as_real(h_max, "h_max")
     if h_max <= 0:
         raise DegenerateHeight("largest root height must be positive")
-    term = exponent_term(G, config.C_main, config)
-    return float(MP.mpf(G) ** (MP.mpf(1) / 3 + term) / h_max)
+    fast = _float_zero_bound(G, h_max, config)
+    return _mp_zero_bound(G, h_max, config) if fast is None else fast[0]
+
+
+def _certified_bound(G: int, h_max: float, config: BoundConfig) -> float | None:
+    """zero_bound's float value when its radius E certifies both decisions
+    decide_zeros takes from it, else None: the bound is past the hard
+    enumeration limit at both ends of [bound (1 - E), bound (1 + E)], or
+    below it at both ends with one floor."""
+    fast = _float_zero_bound(G, h_max, config)
+    if fast is None:
+        return None
+    bound, err = fast
+    lo, hi = bound * (1 - err), bound * (1 + err)
+    if lo >= HARD_ENUMERATION_LIMIT + 1 or (hi < HARD_ENUMERATION_LIMIT + 1
+                                            and floor(lo) == floor(hi)):
+        return bound
+    return None
 
 
 def _square(A: tuple[int, ...], modulus: int | None) -> tuple[int, ...]:
@@ -611,8 +702,14 @@ def decide_zeros(spec: RecurrenceSpec, config: BoundConfig = DEFAULT_CONFIG,
     # the Weil height of an algebraic integer r is the log projective height
     # of (1 : r), which is log |N(r)|; the largest of the three is the log of
     # the largest |N(r)|
-    h_max = float(MP.log(max(abs(r.norm()) for r in roots)))
-    bound = zero_bound(G, h_max, config)
+    norm = max(abs(r.norm()) for r in roots)
+    h_max = log(norm)
+    bound = _certified_bound(G, h_max, config)
+    if bound is None:
+        # zero_bound's mpmath path; past the degeneracy gate at most one root
+        # is a unit and no root prime is stripped, so G >= 2 and h_max > 0
+        h_max = float(MP.log(norm))
+        bound = _mp_zero_bound(G, h_max, config)
     truncated = False
     reason = ""
     if bound >= HARD_ENUMERATION_LIMIT + 1:  # also when bound is inf

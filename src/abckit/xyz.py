@@ -8,6 +8,7 @@ the slow-growth smoothness filter with pluggable phi functions.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
@@ -16,6 +17,7 @@ from itertools import chain
 
 from .arith import as_int, first_primes, is_probable_prime, primes_upto
 from .errors import BadParameter, BadPhi
+from .heights import _IV
 
 NESTING_THRESHOLD = math.exp(math.e**math.e)  # four nested logs need H above this
 
@@ -171,6 +173,44 @@ def _phi3(x: float) -> float | None:
 
 PHI_BUILTINS = {1: _phi1, 2: _phi2, 3: _phi3}
 
+# The built-in phi functions in interval arithmetic, for the decision of
+# thm4_status near a tie; a phi registered in PHI_BUILTINS beyond these is
+# decided in float64 alone.
+_PHI_INTERVAL = {
+    _phi1: lambda iv, x: iv.log(iv.log(x)) / 2,
+    _phi2: lambda iv, x: iv.sqrt(iv.log(iv.log(x))),
+    _phi3: lambda iv, x: iv.log(iv.log(iv.log(x))),
+}
+_THM4_MAX_BITS = 4096  # interval precision past which thm4_status gives up
+
+
+def _enclose(x):
+    """An interval of _IV around the real x; a rational one as the quotient
+    of its terms, since _IV takes no Fraction."""
+    if isinstance(x, numbers.Rational):
+        return _IV.mpf(int(x.numerator)) / int(x.denominator)
+    return _IV.mpf(float(x))
+
+
+def _thm4_interval(s, h, phi_interval) -> bool:
+    """s <= rhs, with s and rhs enclosed in interval arithmetic at 64 bits,
+    then 128, ..., _THM4_MAX_BITS until the enclosures are apart; past that,
+    BadParameter."""
+    bits = 64
+    while bits <= _THM4_MAX_BITS:
+        _IV.prec = bits
+        s_iv = _enclose(s)
+        ll = _IV.log(_IV.log(_enclose(h)))
+        lll = _IV.log(ll)
+        rhs = ll * lll / (_IV.log(lll) * phi_interval(_IV, ll))
+        if s_iv.b <= rhs.a:
+            return True
+        if s_iv.a > rhs.b:
+            return False
+        bits *= 2
+    raise BadParameter(f"thm4: S = {s} is within {_THM4_MAX_BITS}-bit interval "
+                       f"precision of the bound at H = {h}; it cannot be decided")
+
 
 def thm4_status(s: int, h: int, phi_id: int = 2) -> str:
     """'pass' / 'fail' for the smoothness-filter predicate
@@ -180,6 +220,22 @@ def thm4_status(s: int, h: int, phi_id: int = 2) -> str:
     or 'below-threshold' when H is too small for the four nested logs or for
     the chosen phi's domain.  Custom phi functions can be registered in
     PHI_BUILTINS; they must satisfy phi(x) < loglog x with phi -> infinity.
+
+    For a built-in phi the decision is certified.  Let u = 2^-53 and assume
+    math.log and math.sqrt within 1 ulp (2u relative).  The float log H is
+    within 4u log H (its int-to-float rounding included), so, H being past
+    NESTING_THRESHOLD, loglog H > e and logloglog H > 1, the float loglog H
+    is within 3.5u and logloglog H within 5.5u relative of the true values,
+    and loglogloglog H = llll within 5.5u / llll + 2u.  phi_1 = llll / 2 has
+    llll's relative error, phi_2 = sqrt(llll) half of it plus u, and phi_3 =
+    log(llll), with llll > 1, an error of 7.5u / phi_3 + 2u.  With the three
+    roundings of the quotient, the float rhs is within a relative
+    u (22 + 11 / llll + 8 / phi) of the true one, to first order, whichever
+    phi it is; the radius E = 2^-48 (22 + 11 / llll + 8 / phi) is 32 times
+    that.  A float rhs with E < 2^-10 (the second-order terms fit in the
+    slack) decides unless rhs (1 - E) < S <= rhs (1 + E); any other goes to
+    `_thm4_interval`, which raises BadParameter if _THM4_MAX_BITS bits do not
+    separate S from rhs.  A custom phi is decided in float64 alone.
     """
     phi = PHI_BUILTINS.get(phi_id)
     if phi is None:
@@ -195,6 +251,11 @@ def thm4_status(s: int, h: int, phi_id: int = 2) -> str:
     if phi_value is None or phi_value <= 0:
         return "below-threshold"
     rhs = ll * lll / (llll * phi_value)
+    phi_interval = _PHI_INTERVAL.get(phi)
+    if phi_interval is not None:
+        err = 2.0**-48 * (22 + 11 / llll + 8 / phi_value)
+        if err >= 2.0**-10 or rhs * (1 - err) < s <= rhs * (1 + err):
+            return "pass" if _thm4_interval(s, h, phi_interval) else "fail"
     return "pass" if s <= rhs else "fail"
 
 

@@ -225,6 +225,39 @@ class TestCommands:
         assert code == 0 and "empirical min C" in out
 
 
+# `sml decide` output pinned to the 64-bit mpmath zero bound: the float
+# bound moves only past the twelfth significant digit
+SML_PINNED = [
+    (["--c1", "6", "--c2=-11", "--c3", "6", "--a0", "1", "--a1", "2", "--a2", "4",
+      "--cap", "1000"], 2,
+     "Unsupported: a closed-form coefficient vanishes; the three-term bound does not apply\n"
+     "Unsupported,0,,\n"),
+    (["--c1", "6", "--c2=-11", "--c3", "6", "--a0", "0", "--a1", "1", "--a2", "0",
+      "--cap", "1000"], 0,
+     "ZerosFound: checked n <= 4 (raw bound 4.96081187176, G=30, h_max=1.09861228867, C=1)\n"
+     "zeros at n = 0, 2\n"
+     "ZerosFound,4,30,0;2\n"),
+    (["--c1", "10", "--c2=-31", "--c3", "30", "--a0", "1000003", "--a1", "112",
+      "--a2", "452", "--cap", "10000"], 0,
+     "NoZerosUpToBound: checked n <= 10000 (raw bound 3.87910352419e+13, "
+     "G=149989230248296192530, h_max=1.60943791243, C=1)\n"
+     "enumeration truncated at the cap: the zero bound exceeds the hard limit 1000000000\n"
+     "NoZerosUpToBound,10000,149989230248296192530,\n"),
+    (["--c1=-3", "--c2", "17", "--c3=-77", "--a0", "0", "--a1", "8", "--a2", "1528",
+      "--cap", "10000"], 0,
+     "ZerosFound: checked n <= 10000 (raw bound 21477290.0711, G=243804847132, "
+     "h_max=3.89182029811, C=1)\n"
+     "enumeration truncated at the cap: the cap 10000 is below the zero bound 21477290\n"
+     "zeros at n = 0\n"
+     "ZerosFound,10000,243804847132,0\n"),
+]
+
+
+@pytest.mark.parametrize("args, code, text", SML_PINNED)
+def test_sml_decide_output_is_pinned(capsys, args, code, text):
+    assert run(capsys, ["sml", "decide", *args])[:2] == (code, text)
+
+
 class TestCsvRoundTrip:
     def test_xyz_search_csv(self, capsys, tmp_path):
         out_path = os.fspath(tmp_path / "triples.csv")

@@ -1,6 +1,9 @@
+import json
 import math
+import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +23,10 @@ from abckit import (
     strip_common_primes,
     zero_bound,
 )
-from abckit.bounds import BoundConfig
-from abckit.heights import weil_height
+from abckit import bounds
+from abckit.bounds import BoundConfig, DEFAULT_CONFIG, E_SQUARED_GUARD
+from abckit.heights import MP, weil_height
+from abckit.radical import enumerate_primitive_triples
 from abckit.errors import (
     BadParameter,
     BadRadical,
@@ -514,6 +519,140 @@ class TestZeroBound:
             zero_bound(1, 1.0)
         with pytest.raises(DegenerateHeight):
             zero_bound(30030, 0.0)
+
+
+CATALOGUE_PATH = Path(__file__).parents[1] / "bench" / "reference" / "recurrence_batch.json"
+FLOAT_CONFIGS = [DEFAULT_CONFIG, BoundConfig(C_main=0.0), BoundConfig(full_exponent=True)]
+LIMIT = sml.HARD_ENUMERATION_LIMIT + 1
+
+
+@pytest.fixture(scope="module")
+def catalogue() -> list[dict]:
+    """The 450 seeded specs of the recurrence_batch benchmark, with their
+    recorded verdicts at cap 10^4."""
+    with open(CATALOGUE_PATH) as f:
+        return json.load(f)["catalogue"]
+
+
+def verdict_key(spec: RecurrenceSpec, cap: int | None):
+    try:
+        v = decide_zeros(spec, cap=cap)
+    except RootsNotCoprime as exc:
+        return type(exc).__name__, None, None
+    return (v.status, v.N, v.G, v.zeros, v.truncated, v.n0), v.bound, v.h_max
+
+
+def radius(G: int, config: BoundConfig) -> float:
+    """zero_bound's relative error radius E."""
+    return 2.0**-48 * ((1 + 40 * config.C_main) * math.log(G) + 8)
+
+
+def near_tie_height(G: int, config: BoundConfig, k: int, side: int) -> float:
+    """A float h_max at which the 64-bit mpmath bound is k (1 + side 2^-51),
+    up to the rounding of h_max to float (2^-53 relative)."""
+    hp = MP.clone()
+    hp.prec = 200
+    term = bounds.exponent_term(G, config.C_main, config)
+    return float(hp.mpf(G) ** (hp.mpf(1) / 3 + term) / (k * (1 + side * hp.mpf(2) ** -51)))
+
+
+class TestFloatZeroBound:
+    """decide_zeros takes the zero bound in float64 and keeps it only where
+    the radius E certifies floor(bound) and the hard-limit comparison; the
+    64-bit mpmath path is the oracle."""
+
+    def test_catalogue_matches_the_mpmath_path(self, monkeypatch, catalogue):
+        specs = [RecurrenceSpec(*item["spec"]) for item in catalogue]
+        fast = [verdict_key(spec, 10**4) for spec in specs]
+        monkeypatch.setattr(sml, "_certified_bound", lambda G, h_max, config: None)
+        slow = [verdict_key(spec, 10**4) for spec in specs]
+        reached = 0
+        for spec, (key, bound, h_max), (key_mp, bound_mp, h_max_mp) in zip(specs, fast, slow):
+            assert key == key_mp, spec
+            if bound is not None:
+                reached += 1
+                assert h_max == h_max_mp  # every catalogue root norm: math.log == MP.log
+                if not math.isinf(bound_mp):
+                    assert abs(bound - bound_mp) <= radius(key[2], DEFAULT_CONFIG) * bound
+        assert reached == 330
+
+    def test_random_draws_match_the_mpmath_path(self):
+        rng = random.Random(31)
+        certified = below = 0
+        for i in range(10**4):
+            config = FLOAT_CONFIGS[i % 3]
+            G = rng.randint(2, 10 ** rng.randint(1, 40))
+            norm = rng.randint(2, 10 ** rng.randint(1, 30))
+            bound = sml._certified_bound(G, math.log(norm), config)
+            if bound is None:
+                continue
+            certified += 1
+            bound_mp = sml._mp_zero_bound(G, float(MP.log(norm)), config)
+            assert (bound >= LIMIT) == (bound_mp >= LIMIT)
+            if bound_mp < LIMIT:
+                below += 1
+                assert math.floor(bound) == math.floor(bound_mp)
+        assert certified >= 9990 and below >= 2000
+
+    @pytest.mark.parametrize("config", FLOAT_CONFIGS)
+    @pytest.mark.parametrize("k", [816, 123457, LIMIT])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_near_ties_take_the_mpmath_path(self, config, k, side):
+        G = 304250263527210  # the primes up to 41: h_max near 25 puts the bound at 10^9
+        h_max = near_tie_height(G, config, k, side)
+        bound_mp = sml._mp_zero_bound(G, h_max, config)
+        assert 0 < side * (bound_mp - k) <= 2.0**-50 * k
+        assert math.floor(bound_mp) == (k if side > 0 else k - 1)
+        assert sml._certified_bound(G, h_max, config) is None
+        # zero_bound itself still answers from float64, within E
+        assert abs(zero_bound(G, h_max, config) - bound_mp) <= radius(G, config) * bound_mp
+
+    def test_fallback_takes_the_mpmath_height(self):
+        # log 7285 rounds differently in math.log and in 64-bit mpmath; a huge
+        # C puts the exponent past _EXP_MAX, so decide_zeros takes the
+        # mpmath path, h_max included
+        assert math.log(7285) != float(MP.log(7285))
+        spec = spec_from_roots(2, 3, 7285, 3, 7, 11)
+        config = BoundConfig(C_main=1e6)
+        verdict = decide_zeros(spec, config, cap=10)
+        roots, _ = find_roots(char_poly(spec))
+        assert verdict.h_max == float(MP.log(7285)) == max(weil_height(r) for r in roots)
+        assert math.isinf(verdict.bound) and verdict.truncated and verdict.N == 10
+        verdict = decide_zeros(spec, cap=10)  # the float path, at the default C
+        assert verdict.h_max == math.log(7285)
+
+    def test_bound_past_the_float_range_is_inf(self):
+        G = math.prod(primes_upto(6000))
+        assert sml._float_zero_bound(G, 1.0, DEFAULT_CONFIG) is None
+        assert zero_bound(G, 1.0) == math.inf
+        assert sml._certified_bound(G, 1.0, DEFAULT_CONFIG) is None
+
+    def test_small_radical_with_a_nonzero_term_takes_the_mpmath_path(self):
+        config = BoundConfig(G_min=3.0)
+        assert sml._float_zero_bound(10, 1.0, config) is None
+        assert zero_bound(10, 1.0, config) == sml._mp_zero_bound(10, 1.0, config)
+        assert bounds.exponent_term(10, 1.0, config) < 0
+
+    def test_certified_path_needs_no_mpmath(self, monkeypatch, catalogue):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath on the certified path")
+
+        monkeypatch.setattr(MP, "log", refuse)
+        monkeypatch.setattr(MP, "mpf", refuse)
+        decided = [item for item in catalogue
+                   if item["verdict"].get("status") in ("ZerosFound", "NoZerosUpToBound")]
+        assert len(decided) == 330
+        for item in decided:
+            v = decide_zeros(RecurrenceSpec(*item["spec"]), cap=10**4)
+            assert {"status": v.status, "N": v.N, "G": v.G, "zeros": list(v.zeros),
+                    "truncated": v.truncated} == item["verdict"]
+
+    def test_one_kappa_formula(self):
+        triples = [t for t in enumerate_primitive_triples(200) if t.G > E_SQUARED_GUARD]
+        for t in random.Random(5).sample(triples, 300):
+            for config in FLOAT_CONFIGS:
+                assert (sml._float_exponent(t.G, math.log(t.G), config)
+                        == bounds._theorem_report(2, t, config).exponent_used)
 
 
 class TestDecideZeros:

@@ -1,7 +1,10 @@
 import math
 import os
 from bisect import bisect_right
+from fractions import Fraction
 from math import gcd
+
+import mpmath
 
 import pytest
 from hypothesis import given, settings
@@ -280,6 +283,67 @@ class TestThm4Filter:
     def test_bad_phi(self):
         with pytest.raises(BadPhi):
             thm4_status(3, 10**9, phi_id=9)
+
+
+def thm4_rhs(h: int, phi_id: int, bits: int):
+    """The right-hand side of the smoothness filter in mpmath at `bits` bits."""
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    ll = ctx.log(ctx.log(h))
+    lll = ctx.log(ll)
+    llll = ctx.log(lll)
+    phi = {1: llll / 2, 2: ctx.sqrt(llll), 3: ctx.log(llll)}[phi_id]
+    return ll * lll / (llll * phi)
+
+
+def crossing_height(s: int, phi_id: int) -> int:
+    """The least H in (10^7, 10^90] at which the filter's rhs falls below s,
+    bisected at 300 bits; the rhs decreases over that range."""
+    lo, hi = 10**7, 10**90
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if thm4_rhs(mid, phi_id, 300) >= s:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestThm4Certified:
+    """thm4_status decides S <= rhs in float64 only outside a proven error
+    radius, and near a tie in interval arithmetic."""
+
+    @pytest.mark.parametrize("s, h", [(40, 555418552028485), (33, 11736202782396542042)])
+    def test_witnesses_pass(self, s, h):
+        # the float rhs lands just below s, but the true one is above it
+        assert 0 < thm4_rhs(h, 2, 2000) - s < 1e-14
+        assert thm4_status(s, h) == "pass"
+
+    # each s crosses the rhs at a height between 10^14 and 10^41
+    @pytest.mark.parametrize("s, phi_id", [(40, 2), (33, 2), (26, 2), (160, 1), (118, 1), (80, 1)])
+    def test_matches_a_1000_bit_evaluation_around_the_crossing(self, s, phi_id):
+        h0 = crossing_height(s, phi_id)
+        assert h0 < 10**90
+        for h in range(h0 - 12, h0 + 12):
+            truth = "pass" if s <= thm4_rhs(h, phi_id, 1000) else "fail"
+            assert thm4_status(s, h, phi_id) == truth, h
+
+    def test_float_path_decides_away_from_a_tie(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("interval step away from a tie")
+
+        monkeypatch.setattr(xyz, "_thm4_interval", refuse)
+        h = 485165195  # log H = 20: the bound on S is about 116
+        assert [thm4_status(s, h) for s in (2, 116, 117, 10**40)] == [
+            "pass", "pass", "fail", "fail"]
+        assert thm4_status(26, 10**20, phi_id=1) == "pass"
+
+    def test_undecidable_tie_raises_a_typed_error(self):
+        h = 555418552028485
+        rhs = thm4_rhs(h, 2, 6000)
+        s = rhs.man * Fraction(2) ** rhs.exp  # within 2^-5990 of the rhs
+        with pytest.raises(BadParameter, match="cannot be decided"):
+            thm4_status(s, h)
 
 
 class TestPrimeGrowthInequalities:
