@@ -24,7 +24,7 @@ from .errors import (
     HypothesisFails,
     NotApplicable,
 )
-from .heights import MP, _to_float
+from .heights import MP, _in_ctx, _to_float
 from .radical import AbcTriple, Selectors
 
 E_SQUARED_GUARD = math.e**math.e  # below this the triple-log exponent turns negative
@@ -93,6 +93,36 @@ def _check_radical(G: int) -> None:
         raise BadRadical(f"radical must be at least 2, got {G}")
 
 
+# The error model of the float64 filters here, in sml and in xyz (Shewchuk,
+# DCG 1997): a decision is taken in float only outside a proven radius, a
+# multiple of _ERR_UNIT below _ERR_CAP, around the float value; every other
+# case goes to the mpmath or interval code.
+_ERR_UNIT = 2.0**-48  # 32 units of roundoff u = 2^-53
+_ERR_CAP = 2.0**-10  # below this, a radius leaves room for second-order terms
+_EXP_MAX = 700.0  # math.exp overflows past 709.78
+
+
+def _kappa(log_g, config: BoundConfig, ctx=math):
+    """kappa = logloglog G / loglog G, plus 1/loglog G + loglog G / log G with
+    ``full_exponent``, from log_g = log G in the arithmetic of ctx: `math`
+    for the float filters, `MP` for `exponent_term`.
+
+    Rounding bound for ctx = math and G > e^e (so loglog G > 1), with
+    u = 2^-53, math.log within 1 ulp (2u relative) and log_g within 4u log G
+    (its int-to-float rounding included).  The float loglog G is within 6u
+    relative, logloglog G within 6u + 2u logloglog G, and kappa within
+    9u kappa + 6u / loglog G, at most 6.5u.  With ``full_exponent``,
+    1 / loglog G (at most 1) adds 7u, loglog G / log G (at most 1/e) 11u
+    relative and the two additions 3.1u.  So the float kappa is within 8u of
+    kappa, 22u with ``full_exponent`` (where kappa < 2).
+    """
+    llg = ctx.log(log_g)
+    kappa = ctx.log(llg) / llg
+    if config.full_exponent:
+        kappa += 1 / llg + llg / log_g
+    return kappa
+
+
 def exponent_term(G: int, C: float, config: BoundConfig = DEFAULT_CONFIG) -> float:
     """C * (logloglog G / loglog G) for G above the small-radical guard, else 0.
 
@@ -103,12 +133,7 @@ def exponent_term(G: int, C: float, config: BoundConfig = DEFAULT_CONFIG) -> flo
     _check_radical(G)
     if is_small_radical(G, config):
         return 0.0
-    lg = MP.log(G)
-    llg = MP.log(lg)
-    term = MP.log(llg) / llg
-    if config.full_exponent:
-        term += 1 / llg + llg / lg
-    return float(C * term)
+    return float(C * _kappa(MP.log(G), config, MP))
 
 
 def _regime(G: int, config: BoundConfig) -> str:
@@ -163,14 +188,6 @@ def _log_base(sel: Selectors, theorem: int) -> float:
     raise BadParameter("theorem must be 1, 2 or 3")
 
 
-# Float64 filter (Shewchuk, "Adaptive Precision Floating-Point Arithmetic and
-# Fast Robust Geometric Predicates", DCG 1997): a decision is taken in float
-# only when it is outside a proven bound on the float path's distance from
-# the mpmath one; every other case goes to the mpmath code.
-_ERR_UNIT = 2.0**-48  # 32 units of roundoff u = 2^-53
-_EXP_MAX = 700.0  # math.exp overflows past 709.78
-
-
 def _theorem_report(theorem: int, triple: AbcTriple, config: BoundConfig) -> BoundReport:
     """Theorem 1, 2 or 3's report, from float64 when the error bound certifies
     ``holds``, else from `_theorem_report_mp`.
@@ -178,8 +195,8 @@ def _theorem_report(theorem: int, triple: AbcTriple, config: BoundConfig) -> Bou
     Error bound.  Let u = 2^-53, l = log G, C = C_main, b the float log base
     (the same float in both paths), and assume math.log and math.exp are
     within 1 ulp (2u relative) and mpmath's log and exp within 1 ulp at
-    64 bits.  For G > e^e, loglog G > 1, so the float kappa is
-    within 8.1u of the true value (21.1u with ``full_exponent``; kappa < 2),
+    64 bits.  For G > e^e the float kappa is within 8u of the true value
+    (22u with ``full_exponent``, where kappa < 2; see `_kappa`), so
     the float exponent x = b + C kappa l within u(|b| + 36 C l) of the true
     one, and rhs = exp(x) within a relative u(|b| + 36 C l) + 2u.  The
     mpmath report rounds C kappa to float and its results to float, so its
@@ -195,20 +212,16 @@ def _theorem_report(theorem: int, triple: AbcTriple, config: BoundConfig) -> Bou
     (the lone l covers the rounding of 1/3 in the weak form).  When
     |margin| > E_l + E_r both paths' margins have the float one's sign, so
     ``holds`` agrees.  The mpmath report is returned instead when |margin| is
-    within that bound, when G <= max(G_min, e^e), when an exponent exceeds
+    within that bound, when G <= G_min or G <= e^e, when an exponent exceeds
     _EXP_MAX and for a non-finite value.
     """
     G, C = triple.G, config.C_main
-    if G <= max(config.G_min, E_SQUARED_GUARD):
+    if G <= config.G_min or G <= E_SQUARED_GUARD:
         return _theorem_report_mp(theorem, triple, config)
     log_base = _log_base(triple.height_selectors, theorem)
     lhs = math.log(triple.H)
     log_g = math.log(G)
-    llg = math.log(log_g)
-    kappa = math.log(llg) / llg
-    if config.full_exponent:
-        kappa += 1 / llg + llg / log_g
-    term = C * kappa
+    term = C * _kappa(log_g, config)
     x = log_base + term * log_g
     x_weak = (1 / 3 + term) * log_g if theorem == 3 else 0.0
     if max(x, x_weak) < _EXP_MAX:
@@ -406,14 +419,9 @@ def corollary_bound(cid: int, triple: AbcTriple, config: BoundConfig = DEFAULT_C
 
 
 def _mp_real(value, name: str):
-    """`as_real(value, name)` as an mpf of MP, so that arithmetic on it has no
-    float range to leave: a rational (an int of any size, a numpy integer, a
-    Fraction) exactly as the quotient of its terms, any other real through
-    float, since mpmath takes neither a Fraction nor a numpy number."""
-    value = as_real(value, name)
-    if isinstance(value, numbers.Rational):
-        return MP.mpf(int(value.numerator)) / int(value.denominator)
-    return MP.mpf(float(value))
+    """`as_real(value, name)` as an mpf of MP (`heights._in_ctx`), so that
+    arithmetic on it has no float range to leave."""
+    return _in_ctx(MP, as_real(value, name))
 
 
 def yu_ord_bound(n_terms: int, degree: int, e_p: int, norm_p: int,

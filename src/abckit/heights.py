@@ -15,6 +15,7 @@ the gcd of the norms of the coordinates (arith.ideal_gcd_norm).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
@@ -171,3 +172,13 @@ def _to_float(x: int | Fraction) -> float:
         return float(x)
     except OverflowError:
         return inf
+
+
+def _in_ctx(ctx, x):
+    """The real x as a number of ctx (MP or _IV): a rational (an int of any
+    size, a numpy integer, a Fraction) exactly as the quotient of its terms,
+    any other real through float, since mpmath takes neither a Fraction nor
+    a numpy number."""
+    if isinstance(x, numbers.Rational):
+        return ctx.mpf(int(x.numerator)) / int(x.denominator)
+    return ctx.mpf(float(x))

@@ -39,8 +39,10 @@ from .bounds import (
     BoundConfig,
     DEFAULT_CONFIG,
     E_SQUARED_GUARD,
+    _ERR_CAP,
     _ERR_UNIT,
     _EXP_MAX,
+    _kappa,
     exponent_term,
 )
 from .errors import (
@@ -374,34 +376,22 @@ def strip_common_primes(
 # The zero bound and the decision procedure
 
 
-def _float_exponent(G: int, log_g: float, config: BoundConfig) -> float | None:
-    """exponent_term(G, C_main, config) in float64, by the formula of
-    `bounds._theorem_report`; None for G_min < G <= e^e, where the term is
-    nonzero and loglog G <= 1, so the error bound below does not hold."""
-    if G <= config.G_min:
-        return 0.0
-    if G <= E_SQUARED_GUARD:
-        return None
-    llg = log(log_g)
-    kappa = log(llg) / llg
-    if config.full_exponent:
-        kappa += 1 / llg + llg / log_g
-    return config.C_main * kappa
-
-
 def _float_zero_bound(G: int, h_max, config: BoundConfig) -> tuple[float, float] | None:
     """(bound, E): zero_bound in float64 and its relative error radius E, or
     None where the float path does not apply (see zero_bound)."""
     log_g = log(G)
-    term = _float_exponent(G, log_g, config)
-    if term is None:
+    if G <= config.G_min:
+        term = 0.0
+    elif G <= E_SQUARED_GUARD:  # the term is nonzero and loglog G <= 1
         return None
+    else:
+        term = config.C_main * _kappa(log_g, config)
     x = (1 / 3 + term) * log_g
     if not x < _EXP_MAX:
         return None
     bound = exp(x) / _to_float(h_max)
     err = _ERR_UNIT * ((1 + 40 * config.C_main) * log_g + 8)
-    if not (2.0**-1022 <= bound < inf and err < 2.0**-10):  # a normal float
+    if not (2.0**-1022 <= bound < inf and err < _ERR_CAP):  # a normal float
         return None
     return bound, err
 
@@ -417,21 +407,19 @@ def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> fl
     """G^(1/3 + exponent term) / h_max: past this index the sequence cannot vanish.
 
     The bound is taken in float64 as exp(x) / h_max with
-    x = (1/3 + C kappa) log G, and kappa = logloglog G / loglog G (plus
-    1/loglog G + loglog G / log G with ``full_exponent``) by the float
-    formula of `bounds._theorem_report`.  It comes from `_mp_zero_bound`,
-    mpmath at 64 bits, where that does not apply: G_min < G <= e^e (the
-    term is nonzero and loglog G <= 1), x >= _EXP_MAX, a value that is not
-    a normal float, and E >= 2^-10.  So a bound past the float range is inf.
+    x = (1/3 + C kappa) log G and kappa from `bounds._kappa`, the formula of
+    `exponent_term`.  It comes from `_mp_zero_bound`, mpmath at 64 bits,
+    where that does not apply: G_min < G <= e^e (the term is nonzero and
+    loglog G <= 1), x >= _EXP_MAX, a value that is not a normal float, and
+    E >= 2^-10.  So a bound past the float range is inf.
 
     Error bound.  Let u = 2^-53, l = log G, C = C_main, and assume math.log
     and math.exp within 1 ulp (2u relative), and mpmath's log, exp and
     power within 1 ulp at 64 bits.  For G <= G_min the term is 0; for
-    G > e^e, loglog G > 1 and the float kappa is within 22u of the true one
-    (`_theorem_report`).  The float log G is within 4u l, its int-to-float
-    rounding included.  So
-    s = 1/3 + C kappa is within u (0.7 + 26 C), x within u l (2.4 + 36 C) and
-    exp(x) within a relative u l (2.4 + 36 C) + 2u of the true values.
+    G > e^e the float kappa is within 22u of the true one and the float
+    log G within 4u l (`bounds._kappa`).  So s = 1/3 + C kappa is within
+    u (0.7 + 26 C), x within u l (2.4 + 36 C) and exp(x) within a relative
+    u l (2.4 + 36 C) + 2u of the true values.
     decide_zeros takes h_max = math.log of the largest root norm (within 4u
     relative of the true log) on this path, and float(MP.log) of it (within
     1.01u) on the mpmath one; the division and mpmath's final rounding add

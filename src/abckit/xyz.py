@@ -8,18 +8,18 @@ the slow-growth smoothness filter with pluggable phi functions.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
-from .arith import as_int, first_primes, is_probable_prime, primes_upto
+from .arith import as_int, as_real, first_primes, is_probable_prime, primes_upto
+from .bounds import E_SQUARED_GUARD, _ERR_CAP, _ERR_UNIT
 from .errors import BadParameter, BadPhi
-from .heights import _IV
+from .heights import _IV, _in_ctx
 
-NESTING_THRESHOLD = math.exp(math.e**math.e)  # four nested logs need H above this
+NESTING_THRESHOLD = math.exp(E_SQUARED_GUARD)  # four nested logs need H above this
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,12 @@ def enumerate_triples(P: int, H_limit: int, workers: int = 1) -> list[SmoothTrip
 
 
 def verify_lemma9(triple: SmoothTriple) -> tuple[bool, float]:
-    """Check log G <= 3S; returns (holds, slack = 3S - log G)."""
-    slack = 3 * triple.s - math.log(triple.g)
+    """Check log G <= 3S; returns (holds, slack = 3S - log G).  BadParameter
+    unless S is a real number and G a positive one."""
+    try:
+        slack = 3 * triple.s - math.log(triple.g)
+    except (TypeError, ValueError):
+        raise BadParameter(f"lemma 9 needs a real S and a positive G, got {triple}") from None
     return slack >= 0, slack
 
 
@@ -159,53 +163,39 @@ def verify_lemma9(triple: SmoothTriple) -> tuple[bool, float]:
 # Smoothness filter with nested-log guard
 
 
-def _phi1(x: float) -> float | None:
-    return math.log(math.log(x)) / 2 if x > math.e else None
-
-
-def _phi2(x: float) -> float | None:
-    return math.sqrt(math.log(math.log(x))) if x > math.e else None
-
-
-def _phi3(x: float) -> float | None:
-    return math.log(math.log(math.log(x))) if x > math.e**math.e else None
-
-
-PHI_BUILTINS = {1: _phi1, 2: _phi2, 3: _phi3}
-
-# The built-in phi functions in interval arithmetic, for the decision of
-# thm4_status near a tie; a phi registered in PHI_BUILTINS beyond these is
-# decided in float64 alone.
-_PHI_INTERVAL = {
-    _phi1: lambda iv, x: iv.log(iv.log(x)) / 2,
-    _phi2: lambda iv, x: iv.sqrt(iv.log(iv.log(x))),
-    _phi3: lambda iv, x: iv.log(iv.log(iv.log(x))),
+# phi_k as a function of llll = loglogloglog H in the arithmetic of ctx
+PHI_BUILTINS = {
+    1: lambda ctx, llll: llll / 2,
+    2: lambda ctx, llll: ctx.sqrt(llll),
+    3: lambda ctx, llll: ctx.log(llll),
 }
 _THM4_MAX_BITS = 4096  # interval precision past which thm4_status gives up
 
 
-def _enclose(x):
-    """An interval of _IV around the real x; a rational one as the quotient
-    of its terms, since _IV takes no Fraction."""
-    if isinstance(x, numbers.Rational):
-        return _IV.mpf(int(x.numerator)) / int(x.denominator)
-    return _IV.mpf(float(x))
+def _thm4_rhs(ctx, h, phi):
+    """(rhs, llll, phi(llll)), rhs = ll lll / (llll phi(llll)) at height h with
+    ll = loglog H, ..., in the arithmetic of ctx (`math` or `_IV`); None unless
+    llll and phi(llll) are (in `_IV`, known to be) positive."""
+    ll = ctx.log(ctx.log(h))
+    lll = ctx.log(ll)
+    llll = ctx.log(lll)
+    phi_value = phi(ctx, llll) if llll > 0 else 0
+    if not phi_value > 0:
+        return None
+    return ll * lll / (llll * phi_value), llll, phi_value
 
 
-def _thm4_interval(s, h, phi_interval) -> bool:
+def _thm4_interval(s, h, phi) -> bool:
     """s <= rhs, with s and rhs enclosed in interval arithmetic at 64 bits,
     then 128, ..., _THM4_MAX_BITS until the enclosures are apart; past that,
     BadParameter."""
     bits = 64
     while bits <= _THM4_MAX_BITS:
         _IV.prec = bits
-        s_iv = _enclose(s)
-        ll = _IV.log(_IV.log(_enclose(h)))
-        lll = _IV.log(ll)
-        rhs = ll * lll / (_IV.log(lll) * phi_interval(_IV, ll))
-        if s_iv.b <= rhs.a:
+        s_iv, terms = _in_ctx(_IV, s), _thm4_rhs(_IV, _in_ctx(_IV, h), phi)
+        if terms is not None and s_iv.b <= terms[0].a:
             return True
-        if s_iv.a > rhs.b:
+        if terms is not None and s_iv.a > terms[0].b:
             return False
         bits *= 2
     raise BadParameter(f"thm4: S = {s} is within {_THM4_MAX_BITS}-bit interval "
@@ -215,47 +205,48 @@ def _thm4_interval(s, h, phi_interval) -> bool:
 def thm4_status(s: int, h: int, phi_id: int = 2) -> str:
     """'pass' / 'fail' for the smoothness-filter predicate
 
-        S <= loglog H * (logloglog H) / (loglogloglog H * phi(loglog H)),
+        S <= loglog H * (logloglog H) / (loglogloglog H * phi),
 
-    or 'below-threshold' when H is too small for the four nested logs or for
-    the chosen phi's domain.  Custom phi functions can be registered in
-    PHI_BUILTINS; they must satisfy phi(x) < loglog x with phi -> infinity.
+    with phi_1 = llll / 2, phi_2 = sqrt(llll) and phi_3 = log(llll) for
+    llll = loglogloglog H, or 'below-threshold' when H is too small for the
+    four nested logs or for the chosen phi's domain (phi_3 needs llll > 1).
+    Past that return, S must be a real number and H a finite one, else
+    BadParameter; H may be an int of any size.
 
-    For a built-in phi the decision is certified.  Let u = 2^-53 and assume
-    math.log and math.sqrt within 1 ulp (2u relative).  The float log H is
-    within 4u log H (its int-to-float rounding included), so, H being past
+    The decision is certified.  Let u = 2^-53 and assume math.log and
+    math.sqrt within 1 ulp (2u relative).  The float log H is within 4u log H
+    (its int-to-float rounding included), so, H being past
     NESTING_THRESHOLD, loglog H > e and logloglog H > 1, the float loglog H
     is within 3.5u and logloglog H within 5.5u relative of the true values,
-    and loglogloglog H = llll within 5.5u / llll + 2u.  phi_1 = llll / 2 has
-    llll's relative error, phi_2 = sqrt(llll) half of it plus u, and phi_3 =
-    log(llll), with llll > 1, an error of 7.5u / phi_3 + 2u.  With the three
-    roundings of the quotient, the float rhs is within a relative
-    u (22 + 11 / llll + 8 / phi) of the true one, to first order, whichever
-    phi it is; the radius E = 2^-48 (22 + 11 / llll + 8 / phi) is 32 times
-    that.  A float rhs with E < 2^-10 (the second-order terms fit in the
-    slack) decides unless rhs (1 - E) < S <= rhs (1 + E); any other goes to
-    `_thm4_interval`, which raises BadParameter if _THM4_MAX_BITS bits do not
-    separate S from rhs.  A custom phi is decided in float64 alone.
+    and llll within 5.5u / llll + 2u.  phi_1 has llll's relative error,
+    phi_2 half of it plus u, and phi_3, with llll > 1, an error of
+    7.5u / phi_3 + 2u.  With the three roundings of the quotient, the float
+    rhs is within a relative u (22 + 11 / llll + 8 / phi) of the true one,
+    to first order, whichever phi it is; the radius
+    E = 2^-48 (22 + 11 / llll + 8 / phi) is 32 times that.  A float rhs with
+    E < 2^-10 (the second-order terms fit in the slack) decides unless
+    rhs (1 - E) < S <= rhs (1 + E); any other goes to `_thm4_interval`,
+    which raises BadParameter if _THM4_MAX_BITS bits do not separate S from
+    rhs.
     """
     phi = PHI_BUILTINS.get(phi_id)
     if phi is None:
         raise BadPhi(f"unknown phi id {phi_id}; built-ins: {sorted(PHI_BUILTINS)}")
-    if h <= NESTING_THRESHOLD:
+    try:
+        if h <= NESTING_THRESHOLD:
+            return "below-threshold"
+    except TypeError:
+        raise BadParameter(f"h must be a real number, got {h!r}") from None
+    s, h = as_real(s, "s"), as_real(h, "h")
+    if h == math.inf:
+        raise BadParameter("h must be finite")
+    terms = _thm4_rhs(math, h, phi)
+    if terms is None:
         return "below-threshold"
-    ll = math.log(math.log(h))
-    lll = math.log(ll)
-    llll = math.log(lll)
-    if llll <= 0:
-        return "below-threshold"
-    phi_value = phi(ll)
-    if phi_value is None or phi_value <= 0:
-        return "below-threshold"
-    rhs = ll * lll / (llll * phi_value)
-    phi_interval = _PHI_INTERVAL.get(phi)
-    if phi_interval is not None:
-        err = 2.0**-48 * (22 + 11 / llll + 8 / phi_value)
-        if err >= 2.0**-10 or rhs * (1 - err) < s <= rhs * (1 + err):
-            return "pass" if _thm4_interval(s, h, phi_interval) else "fail"
+    rhs, llll, phi_value = terms
+    err = _ERR_UNIT * (22 + 11 / llll + 8 / phi_value)
+    if err >= _ERR_CAP or rhs * (1 - err) < s <= rhs * (1 + err):
+        return "pass" if _thm4_interval(s, h, phi) else "fail"
     return "pass" if s <= rhs else "fail"
 
 

@@ -16,6 +16,7 @@ from abckit import (
     BoundConfig,
     QuadraticField,
     RecurrenceSpec,
+    SmoothTriple,
     corollary_bound,
     decide_zeros,
     empirical_min_C,
@@ -31,7 +32,9 @@ from abckit import (
     radical,
     rosser_violations,
     smooth_numbers,
+    thm4_status,
     tidy_bound,
+    verify_lemma9,
     yu_ord_bound,
     zero_bound,
 )
@@ -155,6 +158,9 @@ REAL_GATED = [
     ("BoundConfig.C_main", lambda v: BoundConfig(C_main=v), "C_main", 2),
     ("BoundConfig.G_min", lambda v: BoundConfig(G_min=v), "G_min", 20),
     ("empirical_min_C.tol", lambda v: empirical_min_C([T], 2, tol=v), "tol", 1),
+    # past the nesting threshold, about 3.81 * 10^6
+    ("thm4_status.s", lambda v: thm4_status(v, 10**15), "s", 5),
+    ("thm4_status.h", lambda v: thm4_status(5, v), "h", 10**15),
 ]
 
 SUNIT_CONSTANTS = [case for case in REAL_GATED if case[2] in ("C13", "C14", "C118", "C119")]
@@ -225,6 +231,18 @@ def test_finite_slots(call, name, good):
     for bad in (math.inf, -math.inf, np.float64("inf"), 10**400, -10**400, Fraction(10**400)):
         with pytest.raises(BadParameter, match=f"^{name} must be finite$"):
             call(bad)
+
+
+def test_smoothness_filter_slots():
+    # past the nesting threshold H is finite, and may be an int of any size
+    for bad in (math.inf, np.float64("inf")):
+        with pytest.raises(BadParameter, match="^h must be finite$"):
+            thm4_status(5, bad)
+    assert thm4_status(5, 10**400) == "pass"
+    # lemma 9 takes a real S and a positive G
+    for s, g in ((2, 0), (2, -6), (2, None), (2, "6"), ("2", 6), (None, 6)):
+        with pytest.raises(BadParameter, match="^lemma 9 needs a real S and a positive G"):
+            verify_lemma9(SmoothTriple(1, 1, 2, s, g, 2))
 
 
 def test_full_exponent_is_a_bool():

@@ -648,11 +648,17 @@ class TestFloatZeroBound:
                     "truncated": v.truncated} == item["verdict"]
 
     def test_one_kappa_formula(self):
+        # the float term C kappa of the filters against exponent_term's
+        # mpmath one: within the bound bounds._kappa derives (8u, 22u with
+        # full_exponent), plus 4u for rounding C kappa to float on each side
+        u = 2.0**-53
         triples = [t for t in enumerate_primitive_triples(200) if t.G > E_SQUARED_GUARD]
         for t in random.Random(5).sample(triples, 300):
             for config in FLOAT_CONFIGS:
-                assert (sml._float_exponent(t.G, math.log(t.G), config)
-                        == bounds._theorem_report(2, t, config).exponent_used)
+                C = config.C_main
+                term = C * bounds._kappa(math.log(t.G), config)
+                radius = C * ((22 if config.full_exponent else 8) + 4) * u
+                assert abs(term - bounds.exponent_term(t.G, C, config)) <= radius
 
 
 class TestDecideZeros:

@@ -285,11 +285,13 @@ class TestThm4Filter:
             thm4_status(3, 10**9, phi_id=9)
 
 
-def thm4_rhs(h: int, phi_id: int, bits: int):
-    """The right-hand side of the smoothness filter in mpmath at `bits` bits."""
+def thm4_rhs(h: int, phi_id: int, bits: int, log_h=None):
+    """The right-hand side of the smoothness filter in mpmath at `bits` bits;
+    log_h(ctx), when given, stands in for log H, which mpmath is slow to take
+    of a huge int."""
     ctx = mpmath.MPContext()
     ctx.prec = bits
-    ll = ctx.log(ctx.log(h))
+    ll = ctx.log(ctx.log(h) if log_h is None else log_h(ctx))
     lll = ctx.log(ll)
     llll = ctx.log(lll)
     phi = {1: llll / 2, 2: ctx.sqrt(llll), 3: ctx.log(llll)}[phi_id]
@@ -337,6 +339,29 @@ class TestThm4Certified:
         assert [thm4_status(s, h) for s in (2, 116, 117, 10**40)] == [
             "pass", "pass", "fail", "fail"]
         assert thm4_status(26, 10**20, phi_id=1) == "pass"
+
+    @pytest.mark.parametrize("phi_id, floor_rhs", [(1, 83), (2, 41), (3, 9215)])
+    def test_pinned_past_phi3_domain(self, phi_id, floor_rhs):
+        big = 10 ** (2 * 10**6)  # loglog H = 15.34 just clears e^e
+        rhs = thm4_rhs(big, phi_id, 1000, log_h=lambda ctx: 2 * 10**6 * ctx.log(10))
+        assert int(rhs) == floor_rhs
+        assert thm4_status(floor_rhs, big, phi_id) == "pass"
+        assert thm4_status(floor_rhs + 1, big, phi_id) == "fail"
+
+    def test_radius_at_the_cap_takes_the_interval_step(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return interval(*args)
+
+        interval = xyz._thm4_interval
+        monkeypatch.setattr(xyz, "_thm4_interval", spy)
+        monkeypatch.setattr(xyz, "_ERR_UNIT", 0.0)  # so the radius is 0.0 = cap
+        monkeypatch.setattr(xyz, "_ERR_CAP", 0.0)
+        h = 485165195  # log H = 20: the bound on S is about 116
+        assert [thm4_status(s, h) for s in (2, 200)] == ["pass", "fail"]
+        assert len(calls) == 2
 
     def test_undecidable_tie_raises_a_typed_error(self):
         h = 555418552028485

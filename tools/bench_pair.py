@@ -351,6 +351,22 @@ assert all(thm2_rhs(t, config).holds for t in triples)
 seconds = time.perf_counter() - t0
 work = len(triples)
 """),
+    "xyz.thm4_status.certified_s": (
+        "thm4_status on 10^4 seeded (S, H, phi), S in [2, 300], H in "
+        "(10^7, 10^40) and phi in {1, 2, 3}: the certified decision past the "
+        "nesting threshold, which no workload reaches",
+        """
+import random
+from abckit import thm4_status
+rng = random.Random(1040)
+cases = [(rng.randint(2, 300), rng.randint(10**7 + 1, 10 ** rng.randint(8, 40) - 1),
+          rng.randint(1, 3)) for _ in range(10**4)]
+t0 = time.perf_counter()
+statuses = [thm4_status(s, h, phi) for s, h, phi in cases]
+seconds = time.perf_counter() - t0
+assert statuses.count("pass") + statuses.count("fail") > 6000
+work = len(cases)
+"""),
     "xyz.enumerate_triples.p23_1e7_serial_s": (
         "serial enumerate_triples(23, 10^7), the end-to-end size of the xyz "
         "search: 8,680 triples from 28,434 smooth numbers in 497 support masks",
