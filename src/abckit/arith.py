@@ -50,9 +50,9 @@ def as_real(value, name: str):
     """The gate for real-valued arguments: any `numbers.Real` (an int, a
     float, a Fraction, a numpy float) passes unchanged; a string, None, a
     complex number or a nan raises BadParameter naming `name`."""
-    if not isinstance(value, numbers.Real) or value != value:
-        raise BadParameter(f"{name} must be a real number, got {value!r}")
-    return value
+    if (type(value) in (int, float) or isinstance(value, numbers.Real)) and value == value:
+        return value
+    raise BadParameter(f"{name} must be a real number, got {value!r}")
 
 
 CLASS_NUMBER_ONE_D = (-1, -2, -3, -7, -11, -19, -43, -67, -163)

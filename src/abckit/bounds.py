@@ -96,7 +96,10 @@ def _check_radical(G: int) -> None:
 # The error model of the float64 filters here, in sml and in xyz (Shewchuk,
 # DCG 1997): a decision is taken in float only outside a proven radius, a
 # multiple of _ERR_UNIT below _ERR_CAP, around the float value; every other
-# case goes to the mpmath or interval code.
+# case goes to the mpmath or interval code.  The radii are derived with
+# u = 2^-53, math.log, math.exp and math.sqrt within 1 ulp (2u relative),
+# mpmath's log, exp and power within 1 ulp at 64 bits, and the float log of
+# an int N within 4u log N (its int-to-float rounding included).
 _ERR_UNIT = 2.0**-48  # 32 units of roundoff u = 2^-53
 _ERR_CAP = 2.0**-10  # below this, a radius leaves room for second-order terms
 _EXP_MAX = 700.0  # math.exp overflows past 709.78
@@ -107,11 +110,10 @@ def _kappa(log_g, config: BoundConfig, ctx=math):
     ``full_exponent``, from log_g = log G in the arithmetic of ctx: `math`
     for the float filters, `MP` for `exponent_term`.
 
-    Rounding bound for ctx = math and G > e^e (so loglog G > 1), with
-    u = 2^-53, math.log within 1 ulp (2u relative) and log_g within 4u log G
-    (its int-to-float rounding included).  The float loglog G is within 6u
-    relative, logloglog G within 6u + 2u logloglog G, and kappa within
-    9u kappa + 6u / loglog G, at most 6.5u.  With ``full_exponent``,
+    Rounding bound for ctx = math and G > e^e (so loglog G > 1), under the
+    error model above and with log_g = math.log(G).  The float loglog G is
+    within 6u relative, logloglog G within 6u + 2u logloglog G, and kappa
+    within 9u kappa + 6u / loglog G, at most 6.5u.  With ``full_exponent``,
     1 / loglog G (at most 1) adds 7u, loglog G / log G (at most 1/e) 11u
     relative and the two additions 3.1u.  So the float kappa is within 8u of
     kappa, 22u with ``full_exponent`` (where kappa < 2).
@@ -192,10 +194,9 @@ def _theorem_report(theorem: int, triple: AbcTriple, config: BoundConfig) -> Bou
     """Theorem 1, 2 or 3's report, from float64 when the error bound certifies
     ``holds``, else from `_theorem_report_mp`.
 
-    Error bound.  Let u = 2^-53, l = log G, C = C_main, b the float log base
-    (the same float in both paths), and assume math.log and math.exp are
-    within 1 ulp (2u relative) and mpmath's log and exp within 1 ulp at
-    64 bits.  For G > e^e the float kappa is within 8u of the true value
+    Error bound, under the error model of `_ERR_UNIT`.  Let l = log G,
+    C = C_main and b the float log base (the same float in both paths).  For
+    G > e^e the float kappa is within 8u of the true value
     (22u with ``full_exponent``, where kappa < 2; see `_kappa`), so
     the float exponent x = b + C kappa l within u(|b| + 36 C l) of the true
     one, and rhs = exp(x) within a relative u(|b| + 36 C l) + 2u.  The

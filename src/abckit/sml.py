@@ -42,12 +42,12 @@ from .bounds import (
     _ERR_CAP,
     _ERR_UNIT,
     _EXP_MAX,
+    _check_radical,
     _kappa,
     exponent_term,
 )
 from .errors import (
     BadParameter,
-    BadRadical,
     DegenerateHeight,
     RepeatedRoots,
     RootsNotCoprime,
@@ -379,13 +379,10 @@ def strip_common_primes(
 def _float_zero_bound(G: int, h_max, config: BoundConfig) -> tuple[float, float] | None:
     """(bound, E): zero_bound in float64 and its relative error radius E, or
     None where the float path does not apply (see zero_bound)."""
-    log_g = log(G)
-    if G <= config.G_min:
-        term = 0.0
-    elif G <= E_SQUARED_GUARD:  # the term is nonzero and loglog G <= 1
+    if config.G_min < G <= E_SQUARED_GUARD:  # the term is nonzero and loglog G <= 1
         return None
-    else:
-        term = config.C_main * _kappa(log_g, config)
+    log_g = log(G)
+    term = 0.0 if G <= config.G_min else config.C_main * _kappa(log_g, config)
     x = (1 / 3 + term) * log_g
     if not x < _EXP_MAX:
         return None
@@ -413,11 +410,10 @@ def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> fl
     loglog G <= 1), x >= _EXP_MAX, a value that is not a normal float, and
     E >= 2^-10.  So a bound past the float range is inf.
 
-    Error bound.  Let u = 2^-53, l = log G, C = C_main, and assume math.log
-    and math.exp within 1 ulp (2u relative), and mpmath's log, exp and
-    power within 1 ulp at 64 bits.  For G <= G_min the term is 0; for
-    G > e^e the float kappa is within 22u of the true one and the float
-    log G within 4u l (`bounds._kappa`).  So s = 1/3 + C kappa is within
+    Error bound, under the error model of `bounds._ERR_UNIT`.  Let l = log G
+    and C = C_main.  For G <= G_min the term is 0; for G > e^e the float
+    kappa is within 22u of the true one and the float log G within 4u l
+    (`bounds._kappa`).  So s = 1/3 + C kappa is within
     u (0.7 + 26 C), x within u l (2.4 + 36 C) and exp(x) within a relative
     u l (2.4 + 36 C) + 2u of the true values.
     decide_zeros takes h_max = math.log of the largest root norm (within 4u
@@ -437,8 +433,7 @@ def zero_bound(G: int, h_max: float, config: BoundConfig = DEFAULT_CONFIG) -> fl
     that is the same at both ends of that range is the mpmath path's.
     """
     G = as_int(G, "G")
-    if G < 2:
-        raise BadRadical(f"radical must be at least 2, got {G}")
+    _check_radical(G)
     h_max = as_real(h_max, "h_max")
     if h_max <= 0:
         raise DegenerateHeight("largest root height must be positive")

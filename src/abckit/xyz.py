@@ -151,11 +151,13 @@ def enumerate_triples(P: int, H_limit: int, workers: int = 1) -> list[SmoothTrip
 
 def verify_lemma9(triple: SmoothTriple) -> tuple[bool, float]:
     """Check log G <= 3S; returns (holds, slack = 3S - log G).  BadParameter
-    unless S is a real number and G a positive one."""
+    unless S is a real number and G a positive one, and for a nan slack."""
     try:
         slack = 3 * triple.s - math.log(triple.g)
     except (TypeError, ValueError):
-        raise BadParameter(f"lemma 9 needs a real S and a positive G, got {triple}") from None
+        slack = math.nan
+    if slack != slack:
+        raise BadParameter(f"lemma 9 needs a real S and a positive G, got {triple}")
     return slack >= 0, slack
 
 
@@ -213,21 +215,19 @@ def thm4_status(s: int, h: int, phi_id: int = 2) -> str:
     Past that return, S must be a real number and H a finite one, else
     BadParameter; H may be an int of any size.
 
-    The decision is certified.  Let u = 2^-53 and assume math.log and
-    math.sqrt within 1 ulp (2u relative).  The float log H is within 4u log H
-    (its int-to-float rounding included), so, H being past
-    NESTING_THRESHOLD, loglog H > e and logloglog H > 1, the float loglog H
-    is within 3.5u and logloglog H within 5.5u relative of the true values,
-    and llll within 5.5u / llll + 2u.  phi_1 has llll's relative error,
-    phi_2 half of it plus u, and phi_3, with llll > 1, an error of
-    7.5u / phi_3 + 2u.  With the three roundings of the quotient, the float
-    rhs is within a relative u (22 + 11 / llll + 8 / phi) of the true one,
-    to first order, whichever phi it is; the radius
+    The decision is certified, under the error model of `bounds._ERR_UNIT`.
+    H being past NESTING_THRESHOLD, loglog H > e and logloglog H > 1, so the
+    float loglog H is within 3.5u and logloglog H within 5.5u relative of the
+    true values, and llll within 5.5u / llll + 2u.  phi_1 has llll's
+    relative error, phi_2 half of it plus u, and phi_3, with llll > 1, an
+    error of 7.5u / phi_3 + 2u.  With the three roundings of the quotient,
+    the float rhs is within a relative u (22 + 11 / llll + 8 / phi) of the
+    true one, to first order, whichever phi it is; the radius
     E = 2^-48 (22 + 11 / llll + 8 / phi) is 32 times that.  A float rhs with
     E < 2^-10 (the second-order terms fit in the slack) decides unless
-    rhs (1 - E) < S <= rhs (1 + E); any other goes to `_thm4_interval`,
-    which raises BadParameter if _THM4_MAX_BITS bits do not separate S from
-    rhs.
+    rhs (1 - E) < S <= rhs (1 + E); any other, and an H with no float (a
+    Fraction past the float range), goes to `_thm4_interval`, which raises
+    BadParameter if _THM4_MAX_BITS bits do not separate S from rhs.
     """
     phi = PHI_BUILTINS.get(phi_id)
     if phi is None:
@@ -240,7 +240,10 @@ def thm4_status(s: int, h: int, phi_id: int = 2) -> str:
     s, h = as_real(s, "s"), as_real(h, "h")
     if h == math.inf:
         raise BadParameter("h must be finite")
-    terms = _thm4_rhs(math, h, phi)
+    try:
+        terms = _thm4_rhs(math, h, phi)
+    except OverflowError:  # a Fraction past the float range
+        return "pass" if _thm4_interval(s, h, phi) else "fail"
     if terms is None:
         return "below-threshold"
     rhs, llll, phi_value = terms

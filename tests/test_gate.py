@@ -239,8 +239,12 @@ def test_smoothness_filter_slots():
         with pytest.raises(BadParameter, match="^h must be finite$"):
             thm4_status(5, bad)
     assert thm4_status(5, 10**400) == "pass"
-    # lemma 9 takes a real S and a positive G
-    for s, g in ((2, 0), (2, -6), (2, None), (2, "6"), ("2", 6), (None, 6)):
+    # a Fraction past the float range is decided like the int next to it
+    for s in (5, 30):
+        assert thm4_status(s, Fraction(10**400, 3)) == thm4_status(s, 10**400 // 3)
+    # lemma 9 takes a real S and a positive G, and gives no nan slack
+    for s, g in ((2, 0), (2, -6), (2, None), (2, "6"), ("2", 6), (None, 6),
+                 (math.nan, 6), (2, math.nan), (math.inf, math.inf)):
         with pytest.raises(BadParameter, match="^lemma 9 needs a real S and a positive G"):
             verify_lemma9(SmoothTriple(1, 1, 2, s, g, 2))
 
